@@ -50,25 +50,16 @@ WORKLOAD = {
     "num_trials": 6,
     "base_seed": 2016,
     # Routed through the batched engine so the gate exercises the
-    # dispatched kernels (repro.xp); under the numpy reference tier the
-    # batched path is bit-identical to serial, so this does not move the
-    # golden numbers.
+    # stacked kernels; the batched path is bit-identical to serial, so
+    # this does not move the golden numbers.
     "batch_trials": 3,
 }
 
 StatTable = Dict[str, Dict[str, Dict[str, float]]]  # scheme -> rate -> stat
 
 
-def compute_stats(
-    workload: dict = WORKLOAD, backend: Optional[str] = None
-) -> StatTable:
-    """Run the seeded workload and fold losses into per-rate statistics.
-
-    ``backend`` selects the array-backend tier (see :mod:`repro.xp`);
-    the default resolves ``REPRO_BACKEND``. This is the gate accelerated
-    tiers must pass: they are not bit-exact, but their statistics must
-    sit inside the golden tolerance band.
-    """
+def compute_stats(workload: dict = WORKLOAD) -> StatTable:
+    """Run the seeded workload and fold losses into per-rate statistics."""
     from repro.obs.metrics import percentile
     from repro.sim.config import ChannelKind, ScenarioConfig
     from repro.sim.runner import standard_schemes
@@ -90,7 +81,6 @@ def compute_stats(
         workload["num_trials"],
         base_seed=workload["base_seed"],
         batch_trials=workload.get("batch_trials"),
-        backend=backend,
     )
     table: StatTable = {}
     for scheme in sweep.schemes():
@@ -184,17 +174,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="DB",
         help="shift session stats by DB before comparing (gate self-test)",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help=(
-            "array-backend tier to run the workload on (default:"
-            " $REPRO_BACKEND, else the numpy reference tier)"
-        ),
-    )
     args = parser.parse_args(argv)
 
-    session = compute_stats(backend=args.backend)
+    session = compute_stats()
 
     if args.inject_perturbation is not None:
         for scheme in session.values():

@@ -1,11 +1,5 @@
 """Antenna arrays, steering vectors, and beam codebooks."""
 
-from repro.arrays.beampattern import (
-    PatternStats,
-    analyze_pattern,
-    array_factor,
-    pattern_cut_db,
-)
 from repro.arrays.codebook import (
     Codebook,
     CodebookGainCache,
@@ -20,10 +14,6 @@ from repro.arrays.ula import UniformLinearArray
 from repro.arrays.upa import UniformPlanarArray
 
 __all__ = [
-    "PatternStats",
-    "analyze_pattern",
-    "array_factor",
-    "pattern_cut_db",
     "ArrayGeometry",
     "Codebook",
     "CodebookGainCache",

@@ -32,8 +32,8 @@ def assemble_effectiveness_sweep(
     ``verify_digests`` additionally requires every shard artifact to
     carry a flight-recorder digest manifest (written by
     ``run_campaign(..., checkpoints=True)``) covering each of the shard's
-    trials — provenance verification for results produced by remote or
-    accelerated workers, without re-running anything.
+    trials — provenance verification for results produced by remote
+    workers, without re-running anything.
     """
     scheme_names = [spec.name for spec in plan.schemes()]
     losses: Dict[str, List[List[float]]] = {name: [] for name in scheme_names}

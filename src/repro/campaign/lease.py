@@ -14,9 +14,12 @@ Claim files live in their own subtree of the shard store::
 
 The discipline mirrors shard artifacts:
 
-* **acquire** creates the claim with ``O_CREAT | O_EXCL`` — the kernel
+* **acquire** writes the claim to a private temp file and hard-links it
+  into place — ``os.link`` fails when the claim exists, so the kernel
   guarantees exactly one winner when several workers race for a free
-  shard; the losers observe the claim and move on;
+  shard, and the claim appears with its full contents (a loser can
+  never read a half-written claim as torn and take it over); the
+  losers observe the claim and move on;
 * **renew** rewrites the claim through the same atomic
   tmp-file + ``os.replace`` path as artifacts, bumping
   ``renewed_unix_s`` so watchers can tell a live lease from a dead one;
@@ -43,6 +46,7 @@ import hashlib
 import json
 import os
 import socket
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,6 +189,30 @@ def backoff_delay(base_s: float, attempt: int, digest: str) -> float:
     return base_s * (2 ** (max(1, attempt) - 1)) * (0.5 + fraction)
 
 
+def _publish_new(path: Path, payload: Dict[str, Any]) -> bool:
+    """Create ``path`` holding ``payload``; False when it already exists.
+
+    The payload is written to a private temp file and hard-linked into
+    place, so the claim appears with its full contents or not at all.
+    """
+    fd, partial = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.stem}.", suffix=".tmp"
+    )
+    try:
+        os.fchmod(fd, 0o644)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.link(partial, path)
+    except FileExistsError:
+        return False
+    finally:
+        os.unlink(partial)
+    return True
+
+
 class LeaseManager:
     """Acquire/renew/release shard leases for one worker on one plan.
 
@@ -251,7 +279,7 @@ class LeaseManager:
     def acquire(self, shard_digest: str) -> bool:
         """Try to claim one shard; True when we hold the lease after this.
 
-        Free shard: exclusive create wins or loses atomically. Claim
+        Free shard: the hard link wins or loses atomically. Claim
         already ours: treated as a renewal. Live foreign claim: lose.
         Expired or unreadable claim: atomic takeover (``os.replace``).
         """
@@ -259,31 +287,24 @@ class LeaseManager:
         path.parent.mkdir(parents=True, exist_ok=True)
         now = time.time()
         record = self._record(shard_digest, acquired=now, now=now)
-        try:
-            fd = os.open(str(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        except FileExistsError:
-            current = self.peek(shard_digest)
-            if current is not None and current.token == self.token:
-                self._held[shard_digest] = now
-                return True
-            if current is not None and not lease_expired(current, now):
-                return False
-            # Expired, torn, or vanished: take over in one atomic write.
-            dump(record.to_payload(), path)
+        if not path.exists() and _publish_new(path, record.to_payload()):
             self._held[shard_digest] = now
-            self.takeovers += 1
-            logger.info(
-                "lease takeover: shard %s (was %s)",
-                shard_digest[:12],
-                current.owner if current is not None else "<unreadable>",
-            )
             return True
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(record.to_payload(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        current = self.peek(shard_digest)
+        if current is not None and current.token == self.token:
+            self._held[shard_digest] = now
+            return True
+        if current is not None and not lease_expired(current, now):
+            return False
+        # Expired, torn, or vanished: take over in one atomic write.
+        dump(record.to_payload(), path)
         self._held[shard_digest] = now
+        self.takeovers += 1
+        logger.info(
+            "lease takeover: shard %s (was %s)",
+            shard_digest[:12],
+            current.owner if current is not None else "<unreadable>",
+        )
         return True
 
     def renew(self, shard_digest: str) -> bool:

@@ -58,7 +58,6 @@ from repro.exceptions import CampaignAborted, ConfigurationError, ShardExecution
 from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
 from repro.obs.checkpoint import CheckpointSpec, find_checkpointer
 from repro.sim.parallel import _run_trial_batch, _worker_init
-from repro.xp import active_backend, resolve_backend
 
 __all__ = [
     "FaultInjector",
@@ -189,7 +188,6 @@ def run_campaign(
     progress: Optional[ProgressCallback] = None,
     heartbeats: bool = True,
     checkpoints: bool = False,
-    backend: Optional[str] = None,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     worker_id: Optional[str] = None,
 ) -> CampaignReport:
@@ -222,16 +220,6 @@ def run_campaign(
     streams, so artifacts' ``result`` blocks are bit-identical either
     way.
 
-    ``backend`` selects the array-backend tier (see :mod:`repro.xp`)
-    every shard's kernels run on; it is resolved once up front (an
-    unavailable accelerated tier warns and degrades to the reference
-    tier here, not once per shard) and the *resolved* name is shipped to
-    workers and recorded in every shard artifact's provenance block —
-    artifacts always state which tier actually produced them. The
-    backend is an execution knob like ``batch_trials``: it does not
-    enter shard digests, so artifacts produced by different tiers
-    occupy the same store slot and resume works across tiers.
-
     The supervisor participates in the distributed lease protocol (see
     :mod:`repro.campaign.lease`): every shard is claimed before execution
     and released after publication, so ``run_campaign`` can run
@@ -252,9 +240,6 @@ def run_campaign(
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
     if batch_trials is not None and batch_trials < 1:
         raise ConfigurationError(f"batch_trials must be >= 1, got {batch_trials}")
-    backend_name = (
-        resolve_backend(backend).name if backend is not None else active_backend().name
-    )
     recorder = get_recorder()
     parent_checkpointer = find_checkpointer(recorder)
     checkpoint_spec: Optional[CheckpointSpec] = None
@@ -307,7 +292,7 @@ def run_campaign(
         # recorder (digests + metrics ride back and merge); without one it
         # runs under the ambient recorder exactly as before.
         return execute_shard_in_process(
-            shard, batch_trials, checkpoint_spec, backend_name, recorder, collect
+            shard, batch_trials, checkpoint_spec, recorder, collect
         )
 
     with recorder.span(
@@ -316,7 +301,6 @@ def run_campaign(
         num_shards=len(plan.shards),
         total_trials=plan.total_trials,
         workers=max_workers or 1,
-        backend=backend_name,
     ) as campaign_span:
         pending = [
             (index, shard)
@@ -350,7 +334,6 @@ def run_campaign(
                         collect,
                         batch_trials,
                         checkpoint_spec,
-                        backend_name,
                     )
 
             pending_indices = {index for index, _ in pending}
@@ -460,7 +443,7 @@ def run_campaign(
                             lease.renew(shard.digest)
                     if publish_shard(
                         store, shard, losses,
-                        digests=shard_digests, backend=backend_name, lease=lease,
+                        digests=shard_digests, lease=lease,
                     ):
                         if parent_checkpointer is not None and shard_digests:
                             parent_checkpointer.absorb(shard_digests)

@@ -74,7 +74,6 @@ class ShardStore:
         shard: ShardSpec,
         losses: Dict[str, List[float]],
         digests: Optional[List[dict]] = None,
-        backend: Optional[str] = None,
     ) -> Path:
         """Atomically write one shard result; returns the artifact path.
 
@@ -83,11 +82,7 @@ class ShardStore:
         is the shard's flight-recorder checkpoint payload list (see
         :mod:`repro.obs.checkpoint`) and is stored as an *additive*
         ``digests`` manifest block — artifacts written without it are
-        byte-identical to pre-flight-recorder artifacts. ``backend``,
-        when given, is the *resolved* array-backend tier that produced
-        the result (see :mod:`repro.xp`) and is recorded in the
-        provenance block — likewise additive, so artifacts written by
-        callers that do not thread a backend are unchanged.
+        byte-identical to pre-flight-recorder artifacts.
         """
         expected = {name: shard.trial_count for name in shard.scheme_names()}
         actual = {name: len(series) for name, series in losses.items()}
@@ -103,8 +98,6 @@ class ShardStore:
             "base_seed": shard.base_seed,
             "config": shard.config.to_dict(),
         }
-        if backend is not None:
-            provenance["backend"] = backend
         payload = {
             "kind": "campaign-shard-v1",
             "digest": digest,

@@ -45,7 +45,6 @@ from repro.exceptions import CampaignAborted, ConfigurationError
 from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
 from repro.obs.checkpoint import CheckpointSpec, find_checkpointer
 from repro.sim.parallel import ParallelOutcome, _run_trial_batch, _scenario_for
-from repro.xp import active_backend, resolve_backend
 
 __all__ = [
     "DEFAULT_POLL_S",
@@ -94,7 +93,6 @@ def execute_shard_in_process(
     shard: ShardSpec,
     batch_trials: Optional[int],
     checkpoint_spec: Optional[CheckpointSpec],
-    backend_name: Optional[str],
     recorder: Any,
     collect: bool,
 ) -> Tuple[Dict[str, List[float]], Optional[List[dict]]]:
@@ -113,7 +111,6 @@ def execute_shard_in_process(
         collect if checkpoint_spec is not None else False,
         batch_trials,
         checkpoint_spec,
-        backend_name,
     )
     snapshot = aux.get("metrics") if aux else None
     if collect and snapshot and recorder.metrics is not None:
@@ -126,7 +123,6 @@ def publish_shard(
     shard: ShardSpec,
     losses: Dict[str, List[float]],
     digests: Optional[List[dict]] = None,
-    backend: Optional[str] = None,
     lease: Optional[LeaseManager] = None,
 ) -> bool:
     """Write one shard artifact unless the zombie guard forbids it.
@@ -147,7 +143,7 @@ def publish_shard(
                 shard.digest[:12],
             )
             return False
-    store.put(shard, losses, digests=digests, backend=backend)
+    store.put(shard, losses, digests=digests)
     return True
 
 
@@ -183,7 +179,6 @@ def run_worker(
     max_shards: Optional[int] = None,
     heartbeats: bool = True,
     checkpoints: bool = False,
-    backend: Optional[str] = None,
     fault_injector: Optional[Any] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> WorkerReport:
@@ -200,7 +195,7 @@ def run_worker(
     reported in ``failed_digests``, never raised: another worker (or a
     resume) may still finish the campaign.
 
-    Retry/backoff, heartbeat, checkpoint, and backend semantics match
+    Retry/backoff, heartbeat, and checkpoint semantics match
     :func:`~repro.campaign.scheduler.run_campaign`; heartbeats and spans
     additionally carry this worker's id for provenance and trace lanes.
     """
@@ -210,9 +205,6 @@ def run_worker(
         raise ConfigurationError(f"batch_trials must be >= 1, got {batch_trials}")
     if claim_batch < 1:
         raise ConfigurationError(f"claim_batch must be >= 1, got {claim_batch}")
-    backend_name = (
-        resolve_backend(backend).name if backend is not None else active_backend().name
-    )
     recorder = get_recorder()
     parent_checkpointer = find_checkpointer(recorder)
     checkpoint_spec: Optional[CheckpointSpec] = None
@@ -282,8 +274,7 @@ def run_worker(
                     if fault_injector is not None:
                         fault_injector.before_attempt(index)
                     losses, shard_digests = execute_shard_in_process(
-                        shard, batch_trials, checkpoint_spec, backend_name,
-                        recorder, collect,
+                        shard, batch_trials, checkpoint_spec, recorder, collect
                     )
                 except CampaignAborted:
                     raise
@@ -334,7 +325,7 @@ def run_worker(
                     lease.renew(shard.digest)
             published = publish_shard(
                 store, shard, losses,
-                digests=shard_digests, backend=backend_name, lease=lease,
+                digests=shard_digests, lease=lease,
             )
             if not published:
                 discarded += 1
@@ -376,7 +367,6 @@ def run_worker(
         plan=plan.digest,
         worker_id=wid,
         num_shards=len(plan.shards),
-        backend=backend_name,
         **lane_attrs,
     ) as worker_span:
         if plan.shards:

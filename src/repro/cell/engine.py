@@ -127,8 +127,8 @@ def execute_ues(
     ``batch_users`` of ``None`` or ``0`` runs the serial reference path
     (one channel draw and one exact SNR matrix per UE); a positive value
     fans channel sampling and ground truth into stacked blocks of that
-    many UEs on the active :mod:`repro.xp` backend. Both paths consume
-    identical per-UE streams, so outcomes are bit-identical.
+    many UEs. Both paths consume identical per-UE streams, so outcomes
+    are bit-identical.
     """
     entries = list(entries)
     if not entries:

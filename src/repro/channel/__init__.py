@@ -22,7 +22,6 @@ from repro.channel.pathloss import (
     NycPathLossParams,
     friis_path_loss_db,
 )
-from repro.channel.rayleigh import covariance_sqrt, sample_correlated_rayleigh
 from repro.channel.singlepath import sample_singlepath_channel
 
 __all__ = [
@@ -49,7 +48,5 @@ __all__ = [
     "NycPathLoss",
     "NycPathLossParams",
     "friis_path_loss_db",
-    "covariance_sqrt",
-    "sample_correlated_rayleigh",
     "sample_singlepath_channel",
 ]

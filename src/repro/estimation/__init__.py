@@ -18,7 +18,6 @@ from repro.estimation.batch import (
     soft_threshold_eigenvalues_batch,
 )
 from repro.estimation.ls_covariance import LsCovarianceEstimator
-from repro.estimation.music import music_beam_ranking, music_spectrum, noise_subspace
 from repro.estimation.ml_covariance import MlCovarianceEstimator, estimate_ml_covariance
 from repro.estimation.sample_covariance import BackProjectionEstimator
 
@@ -33,9 +32,6 @@ __all__ = [
     "nll_gradient",
     "nll_value_and_gradient",
     "LsCovarianceEstimator",
-    "music_beam_ranking",
-    "music_spectrum",
-    "noise_subspace",
     "MlCovarianceEstimator",
     "estimate_ml_covariance",
     "estimate_ml_covariance_batch",

@@ -401,12 +401,18 @@ def run_mc_recovery(
             mask.project(truth), mask, rank=rank, rng=rng
         ),
     }
-    for name, solver in solvers.items():
+    for solver_index, (name, solver) in enumerate(solvers.items()):
         errors_per_fraction: List[float] = []
-        for fraction in fractions:
+        for fraction_index, fraction in enumerate(fractions):
             errors = []
             for index in range(num_trials):
-                rng = trial_generator(base_seed, hash((name, fraction, index)) % 2**31)
+                # Seeded by position only: builtin hash() of a string
+                # changes with PYTHONHASHSEED, so it must not seed trials.
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(
+                        (base_seed, solver_index, fraction_index, index)
+                    )
+                )
                 truth = random_psd(dimension, rank, rng, scale=float(dimension))
                 mask = EntryMask.symmetric_random(dimension, fraction, rng)
                 result = solver(truth, mask, rng)

@@ -137,7 +137,6 @@ def _sweep(
     store=None,
     shard_trials: Optional[int] = None,
     checkpoints: bool = False,
-    backend: Optional[str] = None,
 ) -> EffectivenessSweep:
     scenario = build_scenario(channel, snr_db=snr_db)
     if store is not None:
@@ -157,7 +156,6 @@ def _sweep(
             store=store,
             shard_trials=shard_trials,
             checkpoints=checkpoints,
-            backend=backend,
         )
     schemes = standard_schemes(measurements_per_slot=measurements_per_slot)
     return effectiveness_sweep(
@@ -168,7 +166,6 @@ def _sweep(
         base_seed=base_seed,
         progress=progress,
         batch_trials=batch_trials,
-        backend=backend,
     )
 
 
@@ -187,7 +184,6 @@ def run_effectiveness_experiment(
     store=None,
     shard_trials: Optional[int] = None,
     checkpoints: bool = False,
-    backend: Optional[str] = None,
 ) -> ExperimentResult:
     """Figures 5/6: SNR loss vs search rate for Random/Scan/Proposed.
 
@@ -196,8 +192,7 @@ def run_effectiveness_experiment(
     block of that many trials). ``store`` (a directory path or
     :class:`~repro.campaign.ShardStore`) checkpoints the sweep through
     the campaign scheduler: interrupted runs resume by skipping completed
-    shards, with bit-identical results. ``backend`` selects the array
-    backend tier (see :mod:`repro.xp`) for the whole sweep.
+    shards, with bit-identical results.
     """
     if quick:
         num_trials = min(num_trials, 4)
@@ -215,7 +210,6 @@ def run_effectiveness_experiment(
         store=store,
         shard_trials=shard_trials,
         checkpoints=checkpoints,
-        backend=backend,
     )
     data: Dict[str, object] = {
         "search_rates": rates,
@@ -253,13 +247,11 @@ def run_cost_experiment(
     store=None,
     shard_trials: Optional[int] = None,
     checkpoints: bool = False,
-    backend: Optional[str] = None,
 ) -> ExperimentResult:
     """Figures 7/8: required search rate vs target SNR loss.
 
     ``store`` checkpoints the underlying sweep through the campaign
-    scheduler (see :func:`run_effectiveness_experiment`); ``backend``
-    selects the array backend tier (see :mod:`repro.xp`).
+    scheduler (see :func:`run_effectiveness_experiment`).
     """
     if quick:
         num_trials = min(num_trials, 4)
@@ -279,7 +271,6 @@ def run_cost_experiment(
         store=store,
         shard_trials=shard_trials,
         checkpoints=checkpoints,
-        backend=backend,
     )
     curve = required_search_rates(sweep, targets)
     data: Dict[str, object] = {

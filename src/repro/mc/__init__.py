@@ -1,6 +1,5 @@
-"""Matrix-completion substrate: operators, SVT, FISTA, IALM-RPCA, OptSpace."""
+"""Matrix-completion substrate: operators, SVT, FISTA, OptSpace."""
 
-from repro.mc.alm import RpcaResult, rpca_ialm, soft_threshold_entries
 from repro.mc.fista import fista_nuclear
 from repro.mc.metrics import numerical_rank, observed_rmse, relative_error
 from repro.mc.operators import EntryMask, QuadraticFormOperator
@@ -13,9 +12,6 @@ from repro.mc.svt import (
 )
 
 __all__ = [
-    "RpcaResult",
-    "rpca_ialm",
-    "soft_threshold_entries",
     "fista_nuclear",
     "numerical_rank",
     "observed_rmse",

@@ -19,7 +19,6 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.mc.operators import EntryMask
 from repro.mc.result import SolverResult
-from repro.xp import active_backend
 
 __all__ = ["shrink_singular_values", "shrink_singular_values_batch", "svt_complete"]
 
@@ -40,11 +39,9 @@ def shrink_singular_values_batch(matrices: np.ndarray, thresholds) -> np.ndarray
     """Soft-threshold singular values of a ``(B, n1, n2)`` stack.
 
     ``thresholds`` is a scalar or a ``(B,)`` vector. One stacked SVD (the
-    ``svd`` gufunc) replaces B serial decompositions; on the reference
-    tier the rank-truncated reconstruction stays per-slice, so every
-    slice of the result is bit-identical to
-    :func:`shrink_singular_values` on that matrix. Accelerated tiers
-    keep the LAPACK SVD and JIT the reconstruction.
+    ``svd`` gufunc) replaces B serial decompositions; the rank-truncated
+    reconstruction stays per-slice, so every slice of the result is
+    bit-identical to :func:`shrink_singular_values` on that matrix.
     """
     matrices = np.asarray(matrices)
     if matrices.ndim != 3:
@@ -54,7 +51,16 @@ def shrink_singular_values_batch(matrices: np.ndarray, thresholds) -> np.ndarray
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(thresholds < 0):
         raise ValidationError(f"thresholds must be >= 0, got {thresholds}")
-    return active_backend().shrink_singular_values_batch(matrices, thresholds)
+    u, s, vh = np.linalg.svd(matrices, full_matrices=False)
+    s = np.clip(
+        s - (thresholds[:, None] if thresholds.ndim else thresholds), 0.0, None
+    )
+    out = np.zeros_like(matrices)
+    for index in range(matrices.shape[0]):
+        keep = s[index] > 0
+        if np.any(keep):
+            out[index] = (u[index][:, keep] * s[index][keep]) @ vh[index][keep, :]
+    return out
 
 
 def svt_complete(

@@ -63,7 +63,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.utils.serialization import to_jsonable
-from repro.xp import to_numpy
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -205,18 +204,14 @@ def _as_arrays(
 ) -> List[Tuple[str, np.ndarray]]:
     """Normalize the ``arrays`` argument to ordered (name, ndarray) pairs.
 
-    Values route through :func:`repro.xp.to_numpy` — the host-array
-    boundary of the backend dispatch layer — so stage digests are always
-    computed on host ndarrays no matter which array-backend tier
-    produced the values. ``to_numpy`` returns host ndarrays untouched
-    (an exact-type fast path), so the digest hot path pays nothing on
-    the reference tiers.
+    Values pass through ``np.asarray``, which returns ndarrays untouched,
+    so the digest hot path pays nothing for them.
     """
     # Exact-type check first: abc.Mapping isinstance costs ~3us a call
     # and every caller on the trial hot path passes a plain dict.
     if type(arrays) is dict or isinstance(arrays, Mapping):
-        return [(str(name), to_numpy(value)) for name, value in arrays.items()]
-    return [("value", to_numpy(arrays))]
+        return [(str(name), np.asarray(value)) for name, value in arrays.items()]
+    return [("value", np.asarray(arrays))]
 
 
 def _digest_named(

@@ -1,7 +1,7 @@
 """Divergence bisection over flight-recorder checkpoints: ``repro diff``.
 
-Two runs that *should* be bit-identical (serial vs batched, reference vs
-accelerated backend, local vs remote campaign) are compared event-for-
+Two runs that *should* be bit-identical (serial vs batched, in-process
+vs worker pool, local vs remote campaign) are compared event-for-
 event on their checkpoint digests (:mod:`repro.obs.checkpoint`). The
 diff walks both event sequences in canonical key order — ``(search rate,
 trial, per-trial sequence)`` — and reports the **first** divergent

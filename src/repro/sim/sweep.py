@@ -28,7 +28,6 @@ from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_record
 from repro.sim.aggregate import SeriesStats, summarize
 from repro.sim.runner import AlgorithmFactory, run_trials
 from repro.sim.scenario import Scenario
-from repro.xp import use_backend
 
 logger = get_logger("sim.sweep")
 
@@ -87,7 +86,6 @@ def effectiveness_sweep(
     store=None,
     shard_trials: Optional[int] = None,
     checkpoints: bool = False,
-    backend: Optional[str] = None,
 ) -> EffectivenessSweep:
     """Run every scheme at every search rate; collect per-trial losses.
 
@@ -107,10 +105,6 @@ def effectiveness_sweep(
     ``schemes`` mapping must then hold picklable
     :class:`~repro.sim.parallel.SchemeSpec` values instead of factory
     closures (see :func:`repro.campaign.standard_scheme_specs`).
-
-    ``backend`` selects the array-backend tier (see :mod:`repro.xp`)
-    for the whole sweep; the default resolves ``REPRO_BACKEND`` (the
-    bit-exact ``numpy`` reference tier unless overridden).
     """
     if store is not None:
         return _effectiveness_sweep_via_campaign(
@@ -124,7 +118,6 @@ def effectiveness_sweep(
             store=store,
             shard_trials=shard_trials,
             checkpoints=checkpoints,
-            backend=backend,
         )
     rates = [float(rate) for rate in search_rates]
     if not rates:
@@ -142,7 +135,7 @@ def effectiveness_sweep(
         len(schemes),
     )
     losses: Dict[str, List[List[float]]] = {name: [] for name in schemes}
-    with use_backend(backend), recorder.span(
+    with recorder.span(
         "effectiveness_sweep", rates=rates, num_trials=num_trials, schemes=list(schemes)
     ):
         for rate_index, rate in enumerate(rates):
@@ -191,7 +184,6 @@ def _effectiveness_sweep_via_campaign(
     store,
     shard_trials: Optional[int],
     checkpoints: bool = False,
-    backend: Optional[str] = None,
 ) -> EffectivenessSweep:
     """The ``store=`` path: plan shards, run/resume, reassemble."""
     from repro.campaign import (
@@ -231,7 +223,6 @@ def _effectiveness_sweep_via_campaign(
         batch_trials=batch_trials,
         progress=progress,
         checkpoints=checkpoints,
-        backend=backend,
     )
     return assemble_effectiveness_sweep(plan, store)
 

@@ -14,7 +14,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.xp import active_backend
 
 __all__ = [
     "hermitian",
@@ -147,7 +146,8 @@ def quadratic_forms(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: matrix is {matrix.shape}, vectors are {vectors.shape}"
         )
-    return active_backend().quadratic_forms(matrix, vectors)
+    products = matrix @ vectors
+    return np.real(np.einsum("nk,nk->k", vectors.conj(), products))
 
 
 def db_to_linear(decibels: float) -> float:

@@ -8,7 +8,7 @@ whether trials run serially, in one stacked block, or across worker
 processes composed with in-process batches. This module pins those
 guarantees down layer by layer: measurement fusion, the lockstep ML
 solver (including partial-batch convergence masking and the
-gufunc-absent fallback), the stacked SVT/soft-threshold kernels, and the
+gufunc-absent fallback), the stacked SVT kernel, and the
 batched channel builder.
 """
 
@@ -30,7 +30,6 @@ from repro.exceptions import (
     ConfigurationError,
     ValidationError,
 )
-from repro.mc.alm import soft_threshold_entries
 from repro.mc.svt import shrink_singular_values, shrink_singular_values_batch
 from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import MeasurementEngine
@@ -40,16 +39,6 @@ from repro.sim.runner import run_trials, standard_schemes
 from repro.types import BeamPair
 from repro.utils.linalg import random_psd
 from repro.utils.rng import trial_generator
-from repro.xp import active_backend
-
-#: Bit-exact batch-vs-serial equality (and reference workspace internals)
-#: is only promised by exact tiers (``backend.exact``); accelerated tiers
-#: are gated statistically instead (benchmarks/check_stats.py). Under the
-#: default numpy tier this marker never skips anything.
-requires_exact = pytest.mark.skipif(
-    not active_backend().exact,
-    reason="needs a bit-exact backend tier (accelerated tiers are gated statistically)",
-)
 
 
 def _deep_fingerprint(trials):
@@ -116,7 +105,6 @@ def _solver_fingerprint(result):
 
 class TestRunTrialsBatched:
     @pytest.mark.parametrize("batch_size", [1, 8, 32])
-    @requires_exact
     def test_bit_identical_to_serial(self, small_scenario, batch_size):
         serial = run_trials(
             small_scenario, standard_schemes(measurements_per_slot=4), 0.3, 7,
@@ -132,7 +120,6 @@ class TestRunTrialsBatched:
         )
         assert _deep_fingerprint(batched) == _deep_fingerprint(serial)
 
-    @requires_exact
     def test_block_matches_serial_per_trial(self, small_scenario):
         schemes = standard_schemes(measurements_per_slot=4)
         block = run_trial_block(
@@ -163,7 +150,6 @@ class TestRunTrialsBatched:
         with pytest.raises(ConfigurationError):
             run_trials_batched(small_scenario, schemes, 0.3, 2, batch_size=0)
 
-    @requires_exact
     def test_parallel_composes_with_batching(self, small_config):
         specs = (
             SchemeSpec.of("Random"),
@@ -206,7 +192,6 @@ class TestMeasurePairs:
         # Stays inside the fixtures' 4 TX x 18 RX codebooks.
         return [BeamPair(index % 4, index + 1) for index in range(count)]
 
-    @requires_exact
     def test_fused_matches_loop_and_stream_position(
         self, small_channel, tx_codebook, rx_codebook
     ):
@@ -307,7 +292,6 @@ class TestMeasureMany:
 
 
 class TestBatchedMlSolver:
-    @requires_exact
     def test_bit_identical_to_serial(self):
         problems = _probe_problems(6)
         probes = np.stack([p for p, _ in problems])
@@ -317,7 +301,6 @@ class TestBatchedMlSolver:
             serial = estimate_ml_covariance(probe, power, 0.01)
             assert _solver_fingerprint(result) == _solver_fingerprint(serial)
 
-    @requires_exact
     def test_partial_batch_convergence_masking(self):
         """A batch where problems converge at different iterations must
         leave each problem's trajectory untouched by its neighbours."""
@@ -333,7 +316,6 @@ class TestBatchedMlSolver:
             serial = estimate_ml_covariance(probe, power, 0.01, tolerance=5e-3)
             assert _solver_fingerprint(result) == _solver_fingerprint(serial)
 
-    @requires_exact
     def test_gufunc_absent_fallback(self, monkeypatch):
         """Without the numpy-internal eigh gufunc the public stacked
         ``np.linalg.eigh`` takes over, bit-identically."""
@@ -347,7 +329,6 @@ class TestBatchedMlSolver:
             _solver_fingerprint(r) for r in expected
         ]
 
-    @requires_exact
     def test_warm_start_matches_serial(self):
         problems = _probe_problems(3, seed=43)
         probes = np.stack([p for p, _ in problems])
@@ -386,7 +367,6 @@ class TestStackedKernels:
         rng = np.random.default_rng(seed)
         return np.stack([random_psd(size, 3, rng) for _ in range(batch)])
 
-    @requires_exact
     def test_eigenvalue_prox_matches_hot_path(self):
         matrices = self._psd_stack()
         thresholds = np.linspace(0.01, 0.2, matrices.shape[0])
@@ -395,7 +375,6 @@ class TestStackedKernels:
             serial = _soft_threshold_hot(matrices[index], float(thresholds[index]))
             assert stacked[index].tobytes() == serial.tobytes()
 
-    @requires_exact
     def test_eigenvalue_prox_scalar_threshold(self):
         matrices = self._psd_stack()
         stacked = soft_threshold_eigenvalues_batch(matrices, 0.05)
@@ -403,7 +382,6 @@ class TestStackedKernels:
             serial = _soft_threshold_hot(matrices[index], 0.05)
             assert stacked[index].tobytes() == serial.tobytes()
 
-    @requires_exact
     def test_svt_shrink_matches_serial(self):
         rng = np.random.default_rng(53)
         matrices = rng.normal(size=(4, 6, 5)) + 1j * rng.normal(size=(4, 6, 5))
@@ -420,32 +398,6 @@ class TestStackedKernels:
         with pytest.raises(ValidationError):
             shrink_singular_values_batch(np.zeros((2, 3, 3)), -0.1)
 
-    @requires_exact
-    def test_soft_threshold_entries_buffers_match_plain(self):
-        rng = np.random.default_rng(57)
-        matrix = rng.normal(size=(12, 9)) + 1j * rng.normal(size=(12, 9))
-        plain = soft_threshold_entries(matrix, 0.7)
-        workspace: dict = {}
-        out = np.empty_like(matrix)
-        fused = soft_threshold_entries(matrix, 0.7, workspace=workspace, out=out)
-        assert fused is out
-        assert fused.tobytes() == plain.tobytes()
-        # Reference semantics, including signed zeros from np.where.
-        magnitude = np.abs(matrix)
-        scale = np.where(
-            magnitude <= 0.7, 0.0, (magnitude - 0.7) / np.maximum(magnitude, 1e-30)
-        )
-        assert plain.tobytes() == (matrix * scale).tobytes()
-        # The workspace is reused, not regrown, on the next call.
-        buffers = {key: id(value) for key, value in workspace.items()}
-        soft_threshold_entries(matrix, 0.3, workspace=workspace, out=out)
-        assert buffers == {key: id(value) for key, value in workspace.items()}
-
-    def test_soft_threshold_entries_out_validation(self):
-        matrix = np.ones((3, 3), dtype=complex)
-        with pytest.raises(ValidationError):
-            soft_threshold_entries(matrix, 0.1, out=np.empty((2, 2), dtype=complex))
-
 
 # ----------------------------------------------------------------------
 # Batched channel builder
@@ -453,7 +405,6 @@ class TestStackedKernels:
 
 
 class TestChannelBatch:
-    @requires_exact
     def test_batch_realizations_match_serial(self, small_scenario):
         batched = small_scenario.sample_channel_batch(
             [trial_generator(61, k) for k in range(5)]
@@ -466,7 +417,6 @@ class TestChannelBatch:
             assert left.rx_steering.tobytes() == right.rx_steering.tobytes()
             assert left.powers.tobytes() == right.powers.tobytes()
 
-    @requires_exact
     def test_mean_snr_matrices_match_serial(self, small_scenario):
         channels = small_scenario.sample_channel_batch(
             [trial_generator(67, k) for k in range(4)]

@@ -89,6 +89,60 @@ class TestShardArtifacts:
         assert store.get(shard) is None
 
 
+class TestLegacyBackendProvenance:
+    """Stores written while artifacts still recorded ``provenance.backend``
+    (always ``"numpy"``) resume as fully cached; fresh artifacts omit it."""
+
+    @staticmethod
+    def _stamp_backend(store, digests):
+        for digest in digests:
+            path = store.shard_path(digest)
+            payload = load(path)
+            payload.setdefault("provenance", {})["backend"] = "numpy"
+            dump(payload, path)
+
+    def test_campaign_shards_resume_as_cached(self, store, small_config, specs):
+        from repro.campaign import assemble_effectiveness_sweep, run_campaign
+
+        plan = plan_effectiveness_sweep(
+            small_config, specs, [0.2], 2, base_seed=7, shard_trials=1
+        )
+        run_campaign(plan, store)
+        fresh = assemble_effectiveness_sweep(plan, store)
+        for shard in plan.shards:
+            assert "backend" not in load(store.shard_path(shard.digest))["provenance"]
+        self._stamp_backend(store, [shard.digest for shard in plan.shards])
+        report = run_campaign(plan, store)
+        assert (report.executed, report.skipped) == (0, len(plan.shards))
+        assert assemble_effectiveness_sweep(plan, store).losses == fresh.losses
+
+    def test_cell_shards_resume_as_cached(self, store, small_config):
+        from repro.cell.config import CellConfig
+        from repro.cell.shards import plan_cell, run_cell_plan
+
+        config = CellConfig(
+            scenario=small_config,
+            num_users=12,
+            arrival_rate_hz=5000.0,
+            search_rate=0.25,
+            probe_budget_per_frame=16,
+        )
+        plan = plan_cell(config, shard_ues=6)
+        first = run_cell_plan(plan, store=store, batch_users=4)
+        for shard in plan.shards:
+            assert "provenance" not in load(store.shard_path(shard.digest))
+        self._stamp_backend(store, [shard.digest for shard in plan.shards])
+        cached = []
+        second = run_cell_plan(
+            plan,
+            store=store,
+            batch_users=4,
+            on_shard=lambda shard, records, hit: cached.append(hit),
+        )
+        assert second == first
+        assert cached == [True] * len(plan.shards)
+
+
 class TestManifests:
     def test_save_load_roundtrip(self, store, small_config, specs):
         plan = plan_effectiveness_sweep(

@@ -87,3 +87,32 @@ class TestAblationExperiments:
         for errors in solvers.values():
             # Error at the densest sampling should be small.
             assert errors[-1] < 0.2
+
+
+class TestHashSeedDeterminism:
+    """Seeded experiments give the same bytes under any ``PYTHONHASHSEED``."""
+
+    def test_mc_recovery_independent_of_hash_seed(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(experiments.__file__).resolve().parents[2]
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"mc-{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(src), env.get("PYTHONPATH")])
+            )
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "run", "mc-recovery",
+                 "--quick", "--json", str(out)],
+                check=True,
+                capture_output=True,
+                env=env,
+                timeout=300,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

@@ -8,10 +8,8 @@ produce bit-identical outcomes.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.estimation.ml_covariance import MlCovarianceEstimator
-from repro.mc.alm import rpca_ialm
 from repro.obs import (
     MetricsRecorder,
     TraceRecorder,
@@ -194,26 +192,6 @@ class TestSolverDiagnostics:
         estimator.estimate(probes, powers, 0.01)
         assert estimator.num_solves == 2
         assert estimator.num_converged <= 2
-
-    def test_rpca_residual_history(self, rng):
-        low_rank = rng.standard_normal((12, 12))
-        result = rpca_ialm(low_rank, max_iterations=50, tolerance=1e-6)
-        assert len(result.residual_history) == result.iterations
-        assert result.residual_history[-1] == pytest.approx(result.residual)
-
-    def test_rpca_iteration_events(self, rng, tmp_path):
-        path = tmp_path / "t.jsonl"
-        observed = rng.standard_normal((10, 10))
-        with TraceRecorder(path) as recorder, use_recorder(recorder):
-            rpca_ialm(observed, max_iterations=20)
-        records = read_trace(path)
-        events = [r for r in records if r["type"] == "event"]
-        assert events, "no iteration events recorded"
-        assert all(r["name"] == "solver.rpca_ialm.iteration" for r in events)
-        span = next(r for r in records if r["type"] == "span")
-        assert span["name"] == "solver.rpca_ialm"
-        assert "iterations" in span["attrs"]
-        assert "converged" in span["attrs"]
 
     def test_proposed_slots_carry_convergence(self, small_scenario):
         trials = run_trials(
