@@ -24,6 +24,10 @@ Quickstart::
 
 See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md``
 for the paper-vs-measured record.
+
+Importing the package pins NumPy's OpenBLAS to one thread unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set (see
+:mod:`repro.xp`).
 """
 
 from repro.arrays import (
@@ -85,6 +89,9 @@ from repro.sim import (
 )
 from repro.types import BeamPair
 from repro.version import __version__
+from repro.xp import pin_blas_threads
+
+pin_blas_threads()
 
 __all__ = [
     "Codebook",

@@ -13,10 +13,6 @@ from repro.estimation.likelihood import (
     nll_gradient,
     nll_value_and_gradient,
 )
-from repro.estimation.batch import (
-    estimate_ml_covariance_batch,
-    soft_threshold_eigenvalues_batch,
-)
 from repro.estimation.ls_covariance import LsCovarianceEstimator
 from repro.estimation.ml_covariance import MlCovarianceEstimator, estimate_ml_covariance
 from repro.estimation.sample_covariance import BackProjectionEstimator
@@ -34,7 +30,5 @@ __all__ = [
     "LsCovarianceEstimator",
     "MlCovarianceEstimator",
     "estimate_ml_covariance",
-    "estimate_ml_covariance_batch",
-    "soft_threshold_eigenvalues_batch",
     "BackProjectionEstimator",
 ]

@@ -126,9 +126,9 @@ def nll_value_and_gradient(
     """NLL and its gradient in one pass (shares the ``lambda`` evaluation).
 
     ``validate=False`` skips the input checks (shapes, signs, noise
-    floor) for hot loops that have already validated once — the iterative
-    solver calls this twice per line-search step, so the checks would
-    otherwise dominate small-matrix solves. ``offsets`` is then required.
+    floor) for hot loops that have already validated once, where the
+    checks would otherwise dominate small-matrix evaluations. ``offsets``
+    is then required.
     The computed values are identical either way.
     """
     if validate:

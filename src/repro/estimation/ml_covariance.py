@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.estimation.base import CovarianceEstimator
 from repro.estimation.likelihood import nll_value_and_gradient
+from repro.exceptions import ValidationError
 from repro.mc.operators import QuadraticFormOperator
 from repro.mc.result import SolverResult
 from repro.obs import get_recorder
@@ -55,23 +56,10 @@ except (ImportError, AttributeError):  # pragma: no cover - numpy internals move
     _EIGH_LOWER = None
 
 
-def _soft_threshold_hot(matrix: np.ndarray, threshold: float) -> np.ndarray:
-    """Line-search prox: :func:`soft_threshold_eigenvalues` minus the guards.
-
-    The solver calls this once per line-search candidate on a small
-    reduced matrix, where the public helper's defensive re-symmetrization
-    and wrapper overhead cost as much as the decomposition itself. The
-    iterates here are Hermitian by construction (``eigh`` reads only the
-    lower triangle and reconstruction is ``V diag(s) V^H``), so the
-    guards are redundant; the final solution is still re-symmetrized once
-    in :func:`_solve`.
-    """
-    if _EIGH_LOWER is not None and matrix.dtype == np.complex128:
-        values, vectors = _EIGH_LOWER(matrix, signature="D->dD")
-    else:
-        values, vectors = np.linalg.eigh(matrix)
-    shrunk = np.clip(values - threshold, 0.0, None)
-    return (vectors * shrunk) @ vectors.conj().T
+def _frobenius(matrix: np.ndarray) -> float:
+    """``np.linalg.norm(matrix)`` of a complex matrix, minus the dispatch."""
+    flat = matrix.ravel(order="K")
+    return float(np.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag)))
 
 
 def _initial_estimate(
@@ -268,27 +256,43 @@ def _solve(
     value, gradient = nll_value_and_gradient(
         current, operator, powers, 1.0, offsets=offsets
     )
-    # Inputs are validated by the first evaluation above; the line-search
-    # evaluations below run the unchecked fast path (identical numerics).
+    # Inputs are validated by the first evaluation above. The line search
+    # below fuses the eigenvalue prox, the Frobenius norms (the same
+    # real/imag dot products as ``np.linalg.norm``) and the NLL value
+    # into one pass per candidate, and builds the gradient only for the
+    # accepted one: identical numerics, one adjoint per iteration instead
+    # of one per candidate.
+    probes = operator.probes
+    probes_conj = probes.conj()
     history = [penalized(current, value)]
     step = initial_step
     converged = False
     iteration = 0
-    current_norm = float(np.linalg.norm(current))
+    current_norm = _frobenius(current)
     recorder = get_recorder()
     for iteration in range(1, max_iterations + 1):
         accepted = False
         while step >= min_step:
-            candidate = _soft_threshold_hot(current - step * gradient, mu * step)
+            point = current - step * gradient
+            if _EIGH_LOWER is not None:
+                values, vectors = _EIGH_LOWER(point, signature="D->dD")
+            else:
+                values, vectors = np.linalg.eigh(point)
+            shrunk = np.maximum(values - mu * step, 0.0)
+            candidate = (vectors * shrunk) @ vectors.conj().T
             difference = candidate - current
-            difference_norm = float(np.linalg.norm(difference))
+            difference_norm = _frobenius(difference)
             quadratic_gap = float(
                 np.real(np.vdot(gradient, difference))
                 + difference_norm**2 / (2.0 * step)
             )
-            candidate_value, candidate_gradient = nll_value_and_gradient(
-                candidate, operator, powers, 1.0, offsets=offsets, validate=False
+            lambdas = (
+                np.real(np.einsum("nm,nk,km->m", probes_conj, candidate, probes))
+                + offsets
             )
+            if np.any(lambdas <= 0):
+                raise ValidationError("expected powers must be positive; is Q PSD?")
+            candidate_value = float(np.sum(np.log(lambdas) + powers / lambdas))
             if candidate_value <= value + quadratic_gap + 1e-12:
                 accepted = True
                 break
@@ -296,8 +300,10 @@ def _solve(
         if not accepted:
             break
         change = difference_norm / max(1.0, current_norm)
-        current_norm = float(np.linalg.norm(candidate))
-        current, value, gradient = candidate, candidate_value, candidate_gradient
+        current_norm = _frobenius(candidate)
+        weights = 1.0 / lambdas - powers / lambdas**2
+        current, value = candidate, candidate_value
+        gradient = hermitian((probes * weights) @ probes_conj.T)
         history.append(penalized(current, value))
         if recorder.enabled:
             recorder.event(

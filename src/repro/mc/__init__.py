@@ -5,11 +5,7 @@ from repro.mc.metrics import numerical_rank, observed_rmse, relative_error
 from repro.mc.operators import EntryMask, QuadraticFormOperator
 from repro.mc.optspace import optspace_complete, spectral_initialization, trim_mask
 from repro.mc.result import SolverResult
-from repro.mc.svt import (
-    shrink_singular_values,
-    shrink_singular_values_batch,
-    svt_complete,
-)
+from repro.mc.svt import shrink_singular_values, svt_complete
 
 __all__ = [
     "fista_nuclear",
@@ -23,6 +19,5 @@ __all__ = [
     "trim_mask",
     "SolverResult",
     "shrink_singular_values",
-    "shrink_singular_values_batch",
     "svt_complete",
 ]

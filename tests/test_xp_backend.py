@@ -1,20 +1,30 @@
 """Plain-NumPy array path: the :mod:`repro.xp` provenance accessor and
-the stacked kernels' reference formulations.
+the BLAS thread pin.
 
 * :func:`repro.xp.active_backend` always names ``numpy`` — benchmark
-  provenance records it.
-* The stacked estimation kernels are bitwise the plain NumPy
-  formulations (einsum quadratic forms, NLL terms, public-eigh prox
-  fallback), and checkpoint digests read host ndarrays without copying.
+  provenance records it — and reports the BLAS pool's thread count.
+* ``import repro`` pins OpenBLAS to one thread unless
+  ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set; forked workers
+  inherit the pin, and seeded output does not depend on the thread
+  count. Each case runs in a fresh interpreter, since the pin happens at
+  import.
+* Checkpoint digests read host ndarrays without copying.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import repro.estimation.batch as estimation_batch
+import numpy as np
+import pytest
+
 from repro.obs.checkpoint import _as_arrays
 from repro.xp import active_backend
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestProvenance:
@@ -36,54 +46,80 @@ class TestToNumpy:
         assert result.shape == (2, 2)
 
 
-def _hermitian_stack(batch=4, size=6, seed=11):
-    rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(batch, size, size)) + 1j * rng.normal(
-        size=(batch, size, size)
+_REPORT_THREADS = """
+import repro
+from repro.xp import active_backend
+print(active_backend().blas_threads)
+"""
+
+_FORKED_CHILD_THREADS = """
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
+import repro
+from repro.xp import active_backend
+
+
+def child_threads():
+    return active_backend().blas_threads
+
+
+if __name__ == "__main__":
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(1, mp_context=context) as pool:
+        print(pool.submit(child_threads).result())
+"""
+
+
+def _fresh(args, **overrides):
+    """Run ``python args...`` in a fresh interpreter with a clean BLAS env."""
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env.update(PYTHONPATH=str(ROOT / "src"), **overrides)
+    completed = subprocess.run(
+        [sys.executable, *args],
+        check=True,
+        capture_output=True,
+        cwd=ROOT,
+        env=env,
+        timeout=300,
     )
-    return (raw + np.conj(raw.transpose(0, 2, 1))) / 2.0
+    return completed.stdout
 
 
-class TestReferenceKernels:
-    def test_eigh_stack_matches_public_eigh(self, monkeypatch):
-        monkeypatch.setattr(estimation_batch, "_EIGH_LOWER", None)
-        matrices = _hermitian_stack()
-        thresholds = np.linspace(0.05, 0.3, 4)
-        result = estimation_batch.soft_threshold_eigenvalues_batch(
-            matrices, thresholds
-        )
-        values, vectors = np.linalg.eigh(matrices)
-        shrunk = np.clip(values - thresholds[:, None], 0.0, None)
-        expected = np.matmul(
-            vectors * shrunk[:, None, :], np.conj(vectors.transpose(0, 2, 1))
-        )
-        assert result.tobytes() == expected.tobytes()
+def _threads(script, **overrides):
+    return _fresh(["-c", script], **overrides).decode().strip().splitlines()[-1]
 
-    def test_batch_quadratic_forms_is_the_einsum(self):
-        rng = np.random.default_rng(17)
-        probes = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
-        matrices = _hermitian_stack(batch=3, size=5, seed=19)
-        conj = np.conj(probes)
-        result = estimation_batch._batch_apply(conj, matrices, probes)
-        expected = np.real(np.einsum("bnm,bnk,bkm->bm", conj, matrices, probes))
-        assert result.tobytes() == expected.tobytes()
 
-    def test_nll_terms_reference(self):
-        rng = np.random.default_rng(23)
-        probes = rng.normal(size=(3, 5, 6)) + 1j * rng.normal(size=(3, 5, 6))
-        matrices = _hermitian_stack(batch=3, size=5, seed=29)
-        matrices = matrices + 10.0 * np.eye(5)[None, :, :]
-        powers = np.abs(rng.normal(size=(3, 6)))
-        offsets = np.full((3, 6), 0.1)
-        conj = np.conj(probes)
-        values, gradients = estimation_batch._batch_nll(
-            probes, conj, matrices, powers, offsets
-        )
-        lambdas = np.real(np.einsum("bnm,bnk,bkm->bm", conj, matrices, probes))
-        lambdas = lambdas + offsets
-        assert values.tobytes() == np.sum(
-            np.log(lambdas) + powers / lambdas, axis=1
-        ).tobytes()
-        weights = 1.0 / lambdas - powers / lambdas**2
-        expected = estimation_batch._batch_adjoint(probes, conj, weights)
-        assert gradients.tobytes() == expected.tobytes()
+requires_openblas = pytest.mark.skipif(
+    active_backend().blas_threads is None,
+    reason="NumPy is not linked against an OpenBLAS with thread control",
+)
+
+
+@requires_openblas
+class TestBlasPin:
+    def test_import_pins_one_thread(self):
+        assert _threads(_REPORT_THREADS) == "1"
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_user_setting_is_respected(self, variable):
+        assert _threads(_REPORT_THREADS, **{variable: "2"}) == "2"
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="fork start method")
+    def test_forked_pool_child_inherits_pin(self):
+        assert _threads(_FORKED_CHILD_THREADS) == "1"
+
+    def test_seeded_output_is_thread_count_invariant(self, tmp_path):
+        outputs = []
+        for overrides in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+            path = tmp_path / f"fig6-{len(outputs)}.json"
+            _fresh(
+                ["-m", "repro.cli", "run", "fig6", "--quick", "--json", str(path)],
+                **overrides,
+            )
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
