@@ -2,8 +2,8 @@
 
 One fixed effectiveness-sweep plan is executed to completion through the
 lease-based multi-worker path (``launch_campaign``) at 1, 2, and 4
-workers, each against a fresh store, plus the single-supervisor
-scheduler as the baseline. The printed metric is shards/second; the
+workers, each against a fresh store, plus in-process ``run_campaign``
+(one lease worker, no launcher) as the baseline. The printed metric is shards/second; the
 emitted ``BENCH_campaign-workers-<N>.json`` labels carry the wall-clock
 stats, so the worker count is encoded in the label and the trajectory
 artifact tracks scaling across PRs.
@@ -113,7 +113,7 @@ def test_campaign_worker_scaling(benchmark, bench_trials, bench_seed, tmp_path):
 
 
 def test_campaign_supervisor_baseline(benchmark, bench_trials, bench_seed, tmp_path):
-    """The pre-existing single-supervisor scheduler, for the trajectory."""
+    """In-process ``run_campaign`` (no launcher), for the trajectory."""
     plan = _bench_plan(bench_trials, bench_seed)
     store = ShardStore(tmp_path / "supervisor")
     report = run_once(

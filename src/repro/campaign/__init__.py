@@ -2,11 +2,13 @@
 
 Long Monte Carlo campaigns (figure grids, ablations, scheme comparisons)
 decompose into deterministic **shards** — scenario config + scheme specs
-+ search rate + trial index range — executed by a supervising scheduler
-with per-shard retry/backoff/timeout and graceful degradation, persisted
-one atomic JSON artifact per shard in a content-addressed store, and
-reassembled into bit-identical aggregates. An interrupted campaign
-resumes by re-running the same plan: completed shards are skipped.
++ search rate + trial index range — persisted one atomic JSON artifact
+per shard in a content-addressed store and reassembled into
+bit-identical aggregates. One loop executes shards: the lease worker
+(:func:`run_worker`), which claims each shard through an atomic lease
+file in the store, retries it with backoff, and publishes it. An
+interrupted campaign resumes by re-running the same plan: completed
+shards are skipped.
 
 Typical use::
 
@@ -27,10 +29,11 @@ Or end-to-end through the sweep adapter / CLI::
     effectiveness_sweep(scenario, specs, rates, 100, store="results/campaign")
     # repro campaign run --store results/campaign --trials 100
 
-Campaigns also execute **coordinator-free across N workers**: shards are
-claimed through atomic lease files in the store (no scheduler process),
-crashed workers' leases expire and their shards are reassigned, and the
-assembled aggregate stays byte-identical to a single-supervisor run::
+``run_campaign`` runs the worker in process, after launching
+``max_workers`` worker processes when asked to. The workers need no
+coordinator: crashed workers' leases expire and their shards are taken
+over, and the assembled aggregate stays byte-identical to an in-process
+run::
 
     launch_campaign(plan, store, num_workers=4)   # N local processes
     # repro campaign launch --store DIR --workers 4 --trials 100

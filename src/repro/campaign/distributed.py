@@ -8,8 +8,8 @@ resolves. There is no scheduler process and no IPC: the content-addressed
 workers partition the plan dynamically through atomic claim files, a
 SIGKILLed worker's leases expire (dead-pid fast path) and its shards are
 taken over by the survivors, and the assembled aggregate is byte-identical
-to a single-supervisor run because every shard artifact is a pure function
-of its spec.
+to an in-process run because every shard artifact is a pure function of
+its spec.
 
 The same worker entry point backs ``repro campaign worker``, which is the
 multi-*host* form of this: point workers on several machines at one
@@ -23,7 +23,7 @@ import multiprocessing
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.campaign.lease import DEFAULT_LEASE_TTL_S
 from repro.campaign.plan import CampaignPlan
@@ -31,6 +31,7 @@ from repro.campaign.store import ShardStore
 from repro.campaign.worker import DEFAULT_POLL_S
 from repro.exceptions import ConfigurationError
 from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
+from repro.obs.checkpoint import CheckpointSpec
 
 __all__ = ["LaunchReport", "launch_campaign", "worker_attribution"]
 
@@ -104,7 +105,7 @@ def launch_campaign(
     poll_s: float = DEFAULT_POLL_S,
     claim_batch: int = 1,
     heartbeats: bool = True,
-    checkpoints: bool = False,
+    checkpoints: Union[bool, CheckpointSpec] = False,
     progress: Optional[ProgressCallback] = None,
     watch_interval_s: float = 0.2,
     start_method: Optional[str] = None,
@@ -113,10 +114,12 @@ def launch_campaign(
 
     The launcher's only jobs are to persist the plan manifest,
     fork/spawn the workers, and poll the store for aggregate progress — it holds no campaign state, so killing the
-    launcher mid-run leaves a resumable store exactly like killing a
-    supervisor does. Workers that crash are *not* respawned: their
+    launcher mid-run leaves a resumable store exactly like killing an
+    in-process run does. Workers that crash are *not* respawned: their
     leases expire and the surviving workers absorb the orphaned shards,
     which is the reassignment path the kill-a-worker tests pin down.
+    :func:`~repro.campaign.scheduler.run_campaign` follows a launch with
+    an in-process pass, which also picks up shards no survivor took.
 
     ``start_method`` overrides the multiprocessing start method (default:
     ``fork`` where available for cheap startup, else ``spawn``).
@@ -139,8 +142,7 @@ def launch_campaign(
         "heartbeats": heartbeats,
         "checkpoints": checkpoints,
     }
-    # Import here so the circular scheduler -> worker -> ... chain stays
-    # one-directional at module-load time.
+    # Imported here: the scheduler imports this module at load time.
     from repro.campaign.scheduler import campaign_status
 
     reporter = ProgressReporter(plan.total_trials, progress, label="campaign")

@@ -19,10 +19,10 @@ lost its lease mid-shard may still write when no artifact exists yet
 discard when one does (never clobber a completed artifact with a late
 write — artifacts stay strictly write-once from the store's viewpoint).
 
-This module also hosts the single-shard execution helpers the supervising
-scheduler (:mod:`repro.campaign.scheduler`) shares, so in-process shard
-execution, loss collapsing, and artifact publication have exactly one
-implementation across the single-supervisor and distributed modes.
+This is the only loop that executes campaign shards: ``repro campaign
+worker`` runs it directly, :func:`~repro.campaign.distributed.launch_campaign`
+runs it in N child processes, and
+:func:`~repro.campaign.scheduler.run_campaign` runs it in process.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.lease import (
     DEFAULT_LEASE_TTL_S,
@@ -178,7 +178,7 @@ def run_worker(
     claim_batch: int = 1,
     max_shards: Optional[int] = None,
     heartbeats: bool = True,
-    checkpoints: bool = False,
+    checkpoints: Union[bool, CheckpointSpec] = False,
     fault_injector: Optional[Any] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> WorkerReport:
@@ -195,9 +195,16 @@ def run_worker(
     reported in ``failed_digests``, never raised: another worker (or a
     resume) may still finish the campaign.
 
-    Retry/backoff, heartbeat, and checkpoint semantics match
-    :func:`~repro.campaign.scheduler.run_campaign`; heartbeats and spans
-    additionally carry this worker's id for provenance and trace lanes.
+    Every shard attempt retries with exponential backoff and
+    deterministic jitter (:func:`~repro.campaign.lease.backoff_delay`);
+    heartbeats and spans carry this worker's id for provenance and trace
+    lanes. ``checkpoints`` records per-trial stage digests into each
+    artifact, with the caller's flight recorder configuration when there
+    is one, else the given :class:`~repro.obs.checkpoint.CheckpointSpec`
+    or the default one. Under a caller's flight recorder, the stored
+    digests of every shard found already done are replayed into it, so a
+    resumed campaign records the same event sequence as an uninterrupted
+    one.
     """
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
@@ -208,12 +215,12 @@ def run_worker(
     recorder = get_recorder()
     parent_checkpointer = find_checkpointer(recorder)
     checkpoint_spec: Optional[CheckpointSpec] = None
-    if checkpoints or parent_checkpointer is not None:
-        checkpoint_spec = (
-            parent_checkpointer.spec_for_workers()
-            if parent_checkpointer is not None
-            else CheckpointSpec()
-        )
+    if parent_checkpointer is not None:
+        checkpoint_spec = parent_checkpointer.spec_for_workers()
+    elif isinstance(checkpoints, CheckpointSpec):
+        checkpoint_spec = checkpoints
+    elif checkpoints:
+        checkpoint_spec = CheckpointSpec()
     store.save_manifest(plan)
     wid = worker_id or f"worker-{os.getpid()}"
     lane = _worker_lane(wid)
@@ -251,6 +258,17 @@ def run_worker(
         resolved.add(shard.digest)
         done_trials += shard.trial_count
         reporter.report(done_trials)
+
+    def skip(shard: ShardSpec) -> None:
+        """Resolve a shard someone already published."""
+        nonlocal skipped
+        if parent_checkpointer is not None:
+            manifest = store.digest_manifest(shard)
+            if manifest:
+                parent_checkpointer.absorb(manifest)
+        skipped += 1
+        recorder.increment("campaign.shards_skipped")
+        resolve(shard)
 
     def execute_one(index: int, shard: ShardSpec) -> None:
         """Claimed-shard execution: retries, publish guard, release."""
@@ -369,10 +387,6 @@ def run_worker(
         num_shards=len(plan.shards),
         **lane_attrs,
     ) as worker_span:
-        if plan.shards:
-            # Prime the scenario context *before* claiming anything, so
-            # codebook construction never eats into a held lease's TTL.
-            _scenario_for(plan.shards[0].config)
         try:
             budget_spent = False
             while len(resolved) < len(plan.shards) and not budget_spent:
@@ -381,14 +395,12 @@ def run_worker(
                 claimed: List[Tuple[int, ShardSpec]] = []
 
                 def drain() -> None:
-                    nonlocal progressed, skipped
+                    nonlocal progressed
                     for index, shard in claimed:
                         lease.renew_due()
                         if store.has(shard):  # finished while queued
                             lease.release(shard.digest)
-                            skipped += 1
-                            recorder.increment("campaign.shards_skipped")
-                            resolve(shard)
+                            skip(shard)
                         else:
                             execute_one(index, shard)
                         progressed = True
@@ -401,11 +413,13 @@ def run_worker(
                     if shard.digest in resolved:
                         continue
                     if store.has(shard):
-                        skipped += 1
-                        recorder.increment("campaign.shards_skipped")
-                        resolve(shard)
+                        skip(shard)
                         progressed = True
                         continue
+                    # Build the scenario context (cached per process)
+                    # *before* claiming, so codebook construction never
+                    # eats into a held lease's TTL.
+                    _scenario_for(shard.config)
                     prior_takeovers = lease.takeovers
                     if not lease.acquire(shard.digest):
                         conflicts += 1

@@ -193,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="base retry backoff in seconds (doubles per attempt)",
         )
         verb_cmd.add_argument(
-            "--timeout", type=float, default=None, metavar="S",
-            help="per-shard pool timeout before in-process fallback",
-        )
-        verb_cmd.add_argument(
             "--batch-trials", type=int, default=None, metavar="B",
             help="run each shard through the batched engine in blocks of B",
         )
@@ -834,7 +830,6 @@ def _handle_campaign_run(args: argparse.Namespace) -> int:
             batch_trials=args.batch_trials,
             retries=args.retries,
             backoff_s=args.backoff,
-            timeout_s=args.timeout,
             progress=print_progress if args.progress else None,
             checkpoints=args.checkpoints,
         )
@@ -843,8 +838,8 @@ def _handle_campaign_run(args: argparse.Namespace) -> int:
         return 1
     print(
         f"executed {report.executed} shards, skipped {report.skipped},"
-        f" {report.retries} retries, {report.fallbacks} fallbacks"
-        + (f", {report.deferred} deferred to other workers" if report.deferred else "")
+        f" {report.retries} retries"
+        + (f", {report.conflicts} lease conflicts" if report.conflicts else "")
     )
     return _finish_campaign(args, config, plan, store)
 

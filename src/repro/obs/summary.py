@@ -19,8 +19,8 @@ __all__ = ["summarize_trace", "render_trace_summary", "summarize_trace_file"]
 #: convergence digest (their attrs carry ``iterations``/``converged``).
 SOLVER_SPAN_PREFIX = "solver."
 
-#: Span-name prefix of the campaign scheduler's spans
-#: (``campaign.run``, ``campaign.shard``).
+#: Span-name prefix of the campaign spans
+#: (``campaign.run``, ``campaign.worker``, ``campaign.shard``).
 CAMPAIGN_SPAN_PREFIX = "campaign."
 
 
@@ -28,12 +28,11 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     """Aggregate parsed trace records into a summary dictionary.
 
     Returns ``{"spans", "counters", "gauges", "events", "solvers",
-    "parallel", "campaign"}``; ``spans`` maps span name to
+    "campaign", "checkpoints"}``; ``spans`` maps span name to
     :func:`~repro.obs.metrics.timer_stats` output, ``solvers`` maps
-    solver span name to iteration/convergence statistics, ``parallel``
-    digests the process-pool events (batches merged, pool breaks), and
-    ``campaign`` digests the scheduler's spans/counters (shards executed,
-    retries, fallbacks, attempts).
+    solver span name to iteration/convergence statistics, and
+    ``campaign`` digests the campaign spans/counters (shards executed,
+    retries, attempts, lease activity).
     """
     durations: Dict[str, List[float]] = {}
     counters: Dict[str, float] = {}
@@ -82,15 +81,6 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
             "converged_fraction": solver_converged.get(name, 0) / solves if solves else 0.0,
         }
 
-    parallel: Dict[str, float] = {}
-    parallel_runs = len(durations.get("run_trials_parallel", []))
-    if parallel_runs or any(name.startswith("parallel.") for name in events):
-        parallel = {
-            "runs": parallel_runs,
-            "batches_merged": events.get("parallel.batch_merged", 0),
-            "pool_breaks": events.get("parallel.pool_broken", 0),
-        }
-
     campaign: Dict[str, float] = {}
     has_campaign = any(
         name.startswith(CAMPAIGN_SPAN_PREFIX) for name in durations
@@ -103,9 +93,6 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
             "shards_skipped": counters.get("campaign.shards_skipped", 0.0),
             "shards_failed": counters.get("campaign.shards_failed", 0.0),
             "retries": counters.get("campaign.retries", 0.0),
-            "fallbacks": counters.get("campaign.fallbacks", 0.0),
-            "timeouts": events.get("campaign.shard_timeout", 0),
-            "pool_breaks": events.get("campaign.pool_broken", 0),
             "heartbeats": counters.get("campaign.heartbeats", 0.0),
             "workers": len(durations.get("campaign.worker", [])),
             "lease_conflicts": counters.get("campaign.lease_conflicts", 0.0),
@@ -123,7 +110,6 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
         "gauges": dict(sorted(gauges.items())),
         "events": dict(sorted(events.items())),
         "solvers": solvers,
-        "parallel": parallel,
         "campaign": campaign,
         "checkpoints": dict(sorted(checkpoint_stages.items())),
     }
@@ -184,16 +170,6 @@ def render_trace_summary(summary: Mapping[str, Any], title: str = "Trace summary
             )
         lines.append("")
 
-    parallel = summary.get("parallel", {})
-    if parallel:
-        lines.append("parallel execution")
-        lines.append(
-            f"  runs {parallel.get('runs', 0):d}"
-            f"  batches merged {parallel.get('batches_merged', 0):d}"
-            f"  pool breaks {parallel.get('pool_breaks', 0):d}"
-        )
-        lines.append("")
-
     campaign = summary.get("campaign", {})
     if campaign:
         lines.append("campaign scheduler")
@@ -202,12 +178,7 @@ def render_trace_summary(summary: Mapping[str, Any], title: str = "Trace summary
             f"  executed {campaign.get('shards_executed', 0):.0f}"
             f"  skipped {campaign.get('shards_skipped', 0):.0f}"
             f"  failed {campaign.get('shards_failed', 0):.0f}"
-        )
-        lines.append(
             f"  retries {campaign.get('retries', 0):.0f}"
-            f"  fallbacks {campaign.get('fallbacks', 0):.0f}"
-            f"  timeouts {campaign.get('timeouts', 0):d}"
-            f"  pool breaks {campaign.get('pool_breaks', 0):d}"
         )
         lines.append(
             f"  mean shard {_format_seconds(campaign.get('mean_shard_s', 0.0)).strip()}"

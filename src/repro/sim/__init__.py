@@ -8,12 +8,7 @@ from repro.sim.batch import (
 )
 from repro.sim.config import ChannelKind, ScenarioConfig
 from repro.sim.metrics import PairEvaluation, evaluate_pair, loss_from_matrix_db, snr_loss_db
-from repro.sim.parallel import (
-    SCHEME_BUILDERS,
-    ParallelOutcome,
-    SchemeSpec,
-    run_trials_parallel,
-)
+from repro.sim.parallel import SCHEME_BUILDERS, ParallelOutcome, SchemeSpec
 from repro.sim.persistence import (
     load_cost_curve,
     load_effectiveness_sweep,
@@ -50,7 +45,6 @@ __all__ = [
     "SCHEME_BUILDERS",
     "ParallelOutcome",
     "SchemeSpec",
-    "run_trials_parallel",
     "load_cost_curve",
     "load_effectiveness_sweep",
     "save_cost_curve",

@@ -14,8 +14,8 @@ and every stacked kernel is per-slice bit-identical to its serial
 counterpart — seeded outcomes are bit-identical to ``run_trials`` for
 any batch size (pinned by ``tests/test_batch_engine.py``).
 
-Composition: ``run_trials_parallel(..., batch_trials=B)`` runs process
-workers that each execute their trial chunks through
+Composition: ``run_campaign(..., max_workers=N, batch_trials=B)`` runs N
+lease workers that each execute their shards' trials through
 :func:`run_trial_block` — processes x in-process batches.
 """
 

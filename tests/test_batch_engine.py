@@ -7,7 +7,8 @@ samples and the solver's per-iteration history — must be bit-identical
 whether trials run serially, in one stacked block, or across worker
 processes composed with in-process batches. This module pins those
 guarantees down layer by layer: measurement fusion and the batched
-channel builder.
+channel builder (the processes x batches composition is pinned by
+``tests/test_campaign_worker.py``).
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.campaign import (
+    ShardStore,
+    campaign_status,
+    plan_effectiveness_sweep,
+    run_campaign,
+)
 from repro.channel.batch import mean_snr_matrices
 from repro.core.base import AlignmentContext
 from repro.exceptions import (
@@ -25,7 +32,7 @@ from repro.exceptions import (
 from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import MeasurementEngine
 from repro.sim.batch import run_trial_block, run_trials_batched
-from repro.sim.parallel import SchemeSpec, run_trials_parallel
+from repro.sim.parallel import SchemeSpec
 from repro.sim.runner import run_trials, standard_schemes
 from repro.types import BeamPair
 from repro.utils.rng import trial_generator
@@ -48,14 +55,6 @@ def _deep_fingerprint(trials):
                 )
             )
     return rows
-
-
-def _parallel_fingerprint(trials):
-    return [
-        (name, outcome.loss_db, outcome.selected, outcome.measurements_used)
-        for trial in trials
-        for name, outcome in trial.items()
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -110,36 +109,14 @@ class TestRunTrialsBatched:
         with pytest.raises(ConfigurationError):
             run_trials_batched(small_scenario, schemes, 0.3, 2, batch_size=0)
 
-    def test_parallel_composes_with_batching(self, small_config):
-        specs = (
-            SchemeSpec.of("Random"),
-            SchemeSpec.of("Scan"),
-            SchemeSpec.of("Proposed", measurements_per_slot=4),
+    def test_parallel_batch_trials_validation(self, small_config, tmp_path):
+        plan = plan_effectiveness_sweep(
+            small_config, (SchemeSpec.of("Random"),), (0.3,), 2
         )
-        reference = run_trials_parallel(
-            small_config, specs, 0.3, 5, base_seed=47, max_workers=1
-        )
-        composed = run_trials_parallel(
-            small_config,
-            specs,
-            0.3,
-            5,
-            base_seed=47,
-            max_workers=2,
-            batch_trials=2,
-        )
-        assert _parallel_fingerprint(composed) == _parallel_fingerprint(reference)
-
-    def test_parallel_batch_trials_validation(self, small_config):
+        store = ShardStore(tmp_path / "store")
         with pytest.raises(ConfigurationError):
-            run_trials_parallel(
-                small_config,
-                (SchemeSpec.of("Random"),),
-                0.3,
-                2,
-                max_workers=1,
-                batch_trials=0,
-            )
+            run_campaign(plan, store, max_workers=2, batch_trials=0)
+        assert campaign_status(plan, store).done == 0  # refused before launching
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.campaign import (
     campaign_status,
     plan_effectiveness_sweep,
     run_campaign,
+    worker_attribution,
 )
 from repro.exceptions import (
     CampaignAborted,
@@ -102,6 +103,15 @@ class TestRunCampaign:
             run_campaign(plan, store, retries=-1)
         with pytest.raises(ConfigurationError):
             run_campaign(plan, store, batch_trials=0)
+        with pytest.raises(ConfigurationError):
+            run_campaign(plan, store, max_workers=0)
+        # The injector's state lives in this process: it cannot drive
+        # launched workers, so the combination is refused up front.
+        with pytest.raises(ConfigurationError, match="FaultInjector"):
+            run_campaign(
+                plan, store, max_workers=2, fault_injector=FaultInjector()
+            )
+        assert campaign_status(plan, store).done == 0
 
 
 class TestKillAndResumeDeterminism:
@@ -161,10 +171,16 @@ class TestPooledExecution:
         serial_store = ShardStore(tmp_path / "serial")
         run_campaign(plan, serial_store)
         pooled_store = ShardStore(tmp_path / "pooled")
-        run_campaign(plan, pooled_store, max_workers=2)
+        report = run_campaign(plan, pooled_store, max_workers=2)
+        assert report.executed == len(plan.shards)
+        assert report.skipped == 0
         serial = assemble_effectiveness_sweep(plan, serial_store)
         pooled = assemble_effectiveness_sweep(plan, pooled_store)
         assert pooled.losses == serial.losses
+        # The launched workers, not the in-process pass, did the work.
+        credited = worker_attribution(pooled_store, plan)
+        assert set(credited) <= {"w0", "w1"}
+        assert sum(credited.values()) == len(plan.shards)
 
 
 class TestTrialGeneratorContract:
@@ -175,7 +191,7 @@ class TestTrialGeneratorContract:
         )
         schemes = {spec.name: spec.build_factory() for spec in SPECS}
         reference = run_trials(small_scenario, schemes, 0.3, 4, base_seed=5)
-        from repro.campaign.scheduler import _shard_losses
+        from repro.campaign.worker import _shard_losses
         from repro.sim.parallel import _run_trial_batch
 
         tail_shard = plan.shards_for_rate(0.3)[1]
@@ -201,7 +217,7 @@ class TestLeaseIntegration:
 
     def test_solo_run_leaves_no_claims_behind(self, plan, store):
         report = run_campaign(plan, store)
-        assert report.deferred == 0
+        assert report.conflicts == 0
         assert store.read_claims(plan.digest) == {}
 
     def test_foreign_live_lease_defers_then_absorbs(self, plan, store):
@@ -234,7 +250,7 @@ class TestLeaseIntegration:
             report = run_campaign(plan, store)
         finally:
             thread.join()
-        assert report.deferred == 1
+        assert report.conflicts >= 1  # once per scan until it resolves
         assert report.executed == len(plan.shards) - 1
         assert report.skipped == 1
         assert campaign_status(plan, store).complete

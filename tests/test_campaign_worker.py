@@ -296,8 +296,12 @@ class TestKilledWorker:
 
 @pytest.mark.skipif(not HAS_FORK, reason="requires the fork start method")
 class TestLaunchCampaign:
-    def test_launch_completes_and_attributes(self, plan, store, tmp_path):
-        report = launch_campaign(plan, store, num_workers=2, poll_s=0.05)
+    @pytest.mark.parametrize("batch_trials", [None, 2])
+    def test_launch_completes_and_attributes(self, plan, store, tmp_path, batch_trials):
+        # batch_trials=2: worker processes x in-process batched engine.
+        report = launch_campaign(
+            plan, store, num_workers=2, poll_s=0.05, batch_trials=batch_trials
+        )
         assert report.complete
         assert report.num_workers == 2
         assert all(code == 0 for code in report.exit_codes)

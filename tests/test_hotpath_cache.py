@@ -22,11 +22,17 @@ from repro.arrays.codebook import (
     set_gain_cache_enabled,
     use_gain_cache,
 )
+from repro.campaign import (
+    ShardStore,
+    assemble_effectiveness_sweep,
+    plan_effectiveness_sweep,
+    run_campaign,
+)
 from repro.estimation.ml_covariance import MlCovarianceEstimator
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.exceptions import ValidationError
 from repro.measurement.budget import MeasurementBudget
 from repro.sim.context import ScenarioContext, get_context
-from repro.sim.parallel import SchemeSpec, run_trials_parallel
+from repro.sim.parallel import SchemeSpec, _run_trial_batch
 from repro.sim.runner import run_trials, standard_schemes
 from repro.types import BeamPair
 from repro.utils.linalg import quadratic_forms, random_psd
@@ -347,44 +353,40 @@ class TestDeterminism:
         )
         assert _outcome_fingerprint(first) == _outcome_fingerprint(second)
 
-    def test_parallel_matches_serial_fallback(self, small_config):
-        serial = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 4, base_seed=23, max_workers=1
+    def test_parallel_matches_serial_fallback(self, small_config, small_scenario, tmp_path):
+        """Two launched workers reproduce the serial runner's losses."""
+        plan = plan_effectiveness_sweep(
+            small_config, self.SPECS, (0.3,), 4, base_seed=23, shard_trials=2
         )
-        parallel = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 4, base_seed=23, max_workers=2
-        )
-        assert _parallel_fingerprint(serial) == _parallel_fingerprint(parallel)
-
-    @pytest.mark.parametrize("batch_size", [1, 3, None])
-    def test_batch_size_never_changes_outcomes(self, small_config, batch_size):
-        reference = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 4, base_seed=23, max_workers=1
-        )
-        batched = run_trials_parallel(
-            small_config,
-            self.SPECS,
+        store = ShardStore(tmp_path / "store")
+        run_campaign(plan, store, max_workers=2)
+        serial = run_trials(
+            small_scenario,
+            {spec.name: spec.build_factory() for spec in self.SPECS},
             0.3,
             4,
             base_seed=23,
-            max_workers=2,
-            batch_size=batch_size,
         )
-        assert _parallel_fingerprint(reference) == _parallel_fingerprint(batched)
+        losses = assemble_effectiveness_sweep(plan, store).losses
+        for spec in self.SPECS:
+            assert losses[spec.name] == [
+                [trial[spec.name].loss_db for trial in serial]
+            ]
 
-    def test_batch_size_validation(self, small_config):
-        with pytest.raises(ConfigurationError):
-            run_trials_parallel(
-                small_config, self.SPECS, 0.3, 2, max_workers=2, batch_size=0
-            )
+    @pytest.mark.parametrize("batch_size", [1, 3, None])
+    def test_batch_size_never_changes_outcomes(self, small_config, batch_size):
+        """However the trials are cut into shards, outcomes are the same."""
+        reference, _ = _run_trial_batch(small_config, self.SPECS, 0.3, 23, (0, 1, 2, 3))
+        size = batch_size or 4
+        sharded = []
+        for start in range(0, 4, size):
+            shard = tuple(range(start, min(start + size, 4)))
+            sharded += _run_trial_batch(small_config, self.SPECS, 0.3, 23, shard)[0]
+        assert _parallel_fingerprint(reference) == _parallel_fingerprint(sharded)
 
     def test_parallel_cache_on_off_identical(self, small_config):
         with use_gain_cache(True):
-            cached = run_trials_parallel(
-                small_config, self.SPECS, 0.3, 3, base_seed=29, max_workers=1
-            )
+            cached, _ = _run_trial_batch(small_config, self.SPECS, 0.3, 29, (0, 1, 2))
         with use_gain_cache(False):
-            uncached = run_trials_parallel(
-                small_config, self.SPECS, 0.3, 3, base_seed=29, max_workers=1
-            )
+            uncached, _ = _run_trial_batch(small_config, self.SPECS, 0.3, 29, (0, 1, 2))
         assert _parallel_fingerprint(cached) == _parallel_fingerprint(uncached)

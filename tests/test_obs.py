@@ -285,22 +285,22 @@ class TestSummarize:
         assert "empty trace" in text
 
     def test_summarize_parallel_section(self, tmp_path):
+        """Older traces with process-pool records still summarize: their
+        events are counted, but no section is made from them."""
         path = tmp_path / "trace.jsonl"
         with TraceRecorder(path) as recorder:
             with recorder.span("run_trials_parallel", workers=2):
                 recorder.event("parallel.batch_merged", worker=0)
-                recorder.event("parallel.batch_merged", worker=1)
                 recorder.event("parallel.pool_broken")
         summary = summarize_trace(read_trace(path))
-        assert summary["parallel"] == {
-            "runs": 1,
-            "batches_merged": 2,
-            "pool_breaks": 1,
+        assert "parallel" not in summary
+        assert summary["events"] == {
+            "parallel.batch_merged": 1,
+            "parallel.pool_broken": 1,
         }
         text = render_trace_summary(summary)
-        assert "parallel execution" in text
-        assert "batches merged 2" in text
-        assert "pool breaks 1" in text
+        assert "run_trials_parallel" in text  # an ordinary span row
+        assert "parallel execution" not in text
 
     def test_summarize_campaign_section(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -312,14 +312,15 @@ class TestSummarize:
                 recorder.increment("campaign.shards_executed", 2)
                 recorder.increment("campaign.retries", 2)
                 recorder.increment("campaign.heartbeats", 6)
-                recorder.event("campaign.shard_timeout")
+                recorder.increment("campaign.lease_conflicts", 1)
         summary = summarize_trace(read_trace(path))
         campaign = summary["campaign"]
         assert campaign["runs"] == 1
         assert campaign["shards_executed"] == 2.0
         assert campaign["retries"] == 2.0
         assert campaign["heartbeats"] == 6.0
-        assert campaign["timeouts"] == 1
+        assert campaign["lease_conflicts"] == 1.0
+        assert "fallbacks" not in campaign
         assert campaign["mean_attempts"] == pytest.approx(2.0)
         text = render_trace_summary(summary)
         assert "campaign scheduler" in text
@@ -332,10 +333,8 @@ class TestSummarize:
             with recorder.span("trial"):
                 pass
         summary = summarize_trace(read_trace(path))
-        assert summary["parallel"] == {}
         assert summary["campaign"] == {}
         text = render_trace_summary(summary)
-        assert "parallel execution" not in text
         assert "campaign scheduler" not in text
 
 

@@ -9,6 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.campaign import (
+    ShardStore,
+    assemble_effectiveness_sweep,
+    plan_effectiveness_sweep,
+    run_campaign,
+)
 from repro.estimation.ml_covariance import MlCovarianceEstimator
 from repro.obs import (
     MetricsRecorder,
@@ -16,7 +22,7 @@ from repro.obs import (
     read_trace,
     use_recorder,
 )
-from repro.sim.parallel import SchemeSpec, run_trials_parallel
+from repro.sim.parallel import SchemeSpec
 from repro.sim.runner import run_trials, standard_schemes
 from repro.sim.sweep import effectiveness_sweep
 
@@ -133,49 +139,38 @@ class TestSweepInstrumentation:
 
 
 class TestParallelMetricsMerge:
+    """Recorders and progress around a campaign run by launched workers."""
+
     SPECS = (
         SchemeSpec.of("Random"),
         SchemeSpec.of("Proposed", measurements_per_slot=4),
     )
 
-    def test_worker_metrics_merge_across_processes(self, small_config):
-        recorder = MetricsRecorder()
-        with use_recorder(recorder):
-            trials = run_trials_parallel(
-                small_config, self.SPECS, 0.3, 3, base_seed=5, max_workers=2,
-                batch_size=1,
-            )
-        expected = sum(t["Proposed"].measurements_used for t in trials)
-        metrics = recorder.metrics
-        assert metrics.counter("scheme.Proposed.measurements") == expected
-        assert metrics.counter("scheme.Proposed.trials") == 3
-        # worker-side solver telemetry survived the process boundary
-        assert metrics.counter("estimator.ml.solves") > 0
-        # per-batch merge events were recorded in the parent
-        assert metrics.counter("parallel.batch_merged") == 3
-
-    def test_parallel_matches_serial_with_recorder(self, small_config):
-        plain = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 2, base_seed=5, max_workers=1
+    def _plan(self, config):
+        return plan_effectiveness_sweep(
+            config, self.SPECS, (0.3,), 2, base_seed=5, shard_trials=1
         )
-        with use_recorder(MetricsRecorder()):
-            recorded = run_trials_parallel(
-                small_config, self.SPECS, 0.3, 2, base_seed=5, max_workers=2
-            )
-        assert plain == recorded
 
-    def test_parallel_progress(self, small_config):
+    def test_parallel_matches_serial_with_recorder(self, small_config, tmp_path):
+        plan = self._plan(small_config)
+        plain = ShardStore(tmp_path / "plain")
+        run_campaign(plan, plain)
+        recorded = ShardStore(tmp_path / "recorded")
+        with use_recorder(MetricsRecorder()):
+            run_campaign(plan, recorded, max_workers=2)
+        assert (
+            assemble_effectiveness_sweep(plan, recorded).losses
+            == assemble_effectiveness_sweep(plan, plain).losses
+        )
+
+    def test_parallel_progress(self, small_config, tmp_path):
+        plan = self._plan(small_config)
         events = []
-        run_trials_parallel(
-            small_config,
-            self.SPECS,
-            0.3,
-            2,
-            base_seed=5,
-            max_workers=1,
+        run_campaign(
+            plan, ShardStore(tmp_path / "store"), max_workers=2,
             progress=events.append,
         )
-        assert events[-1].done == 2
+        assert events[-1].done == plan.total_trials
 
 
 class TestSolverDiagnostics:

@@ -1,4 +1,4 @@
-"""Tests for the process-parallel trial runner."""
+"""Tests for scheme specs and the shard trial executor, in and across processes."""
 
 from __future__ import annotations
 
@@ -8,15 +8,22 @@ import os
 import pytest
 
 from repro.baselines.random_search import RandomSearch
+from repro.campaign import (
+    LaunchReport,
+    ShardStore,
+    assemble_effectiveness_sweep,
+    plan_effectiveness_sweep,
+    run_campaign,
+    worker_attribution,
+)
 from repro.exceptions import ConfigurationError
-from repro.obs import MetricsRecorder, use_recorder
 from repro.sim.parallel import (
     SCHEME_BUILDERS,
-    BrokenProcessPool,
     ParallelOutcome,
     SchemeSpec,
-    run_trials_parallel,
+    _run_trial_batch,
 )
+from repro.sim.persistence import save_effectiveness_sweep
 from repro.sim.runner import run_trials
 
 
@@ -48,6 +55,18 @@ class TestSchemeSpec:
         assert hash(SchemeSpec.of("Proposed", mu=0.1)) is not None
 
 
+def _campaign_bytes(config, specs, seed, store_dir, **options):
+    """Run a two-shard campaign into ``store_dir``; its assembled JSON bytes."""
+    plan = plan_effectiveness_sweep(
+        config, specs, (0.3,), 2, base_seed=seed, shard_trials=1
+    )
+    store = ShardStore(store_dir)
+    report = run_campaign(plan, store, **options)
+    path = store_dir / "sweep.json"
+    save_effectiveness_sweep(assemble_effectiveness_sweep(plan, store), path)
+    return path.read_bytes(), report, plan, store
+
+
 class TestRunTrialsParallel:
     SPECS = (
         SchemeSpec.of("Random"),
@@ -55,9 +74,8 @@ class TestRunTrialsParallel:
     )
 
     def test_inprocess_path(self, small_config):
-        trials = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 3, base_seed=5, max_workers=1
-        )
+        trials, aux = _run_trial_batch(small_config, self.SPECS, 0.3, 5, (0, 1, 2))
+        assert aux is None
         assert len(trials) == 3
         for trial in trials:
             assert set(trial) == {"Random", "Proposed"}
@@ -67,61 +85,45 @@ class TestRunTrialsParallel:
 
     def test_matches_serial_runner(self, small_config, small_scenario):
         """Same seeds -> identical selections as the serial runner."""
-        parallel = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 2, base_seed=9, max_workers=1
-        )
+        shard, _ = _run_trial_batch(small_config, self.SPECS, 0.3, 9, (0, 1))
         schemes = {spec.name: spec.build_factory() for spec in self.SPECS}
         serial = run_trials(small_scenario, schemes, 0.3, 2, base_seed=9)
-        for par_trial, ser_trial in zip(parallel, serial):
+        for par_trial, ser_trial in zip(shard, serial):
             for name in schemes:
                 assert par_trial[name].selected == ser_trial[name].result.selected
-                assert par_trial[name].loss_db == pytest.approx(ser_trial[name].loss_db)
+                assert par_trial[name].loss_db == ser_trial[name].loss_db
 
-    def test_multiprocess_matches_inprocess(self, small_config):
-        solo = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 2, base_seed=11, max_workers=1
+    def test_multiprocess_matches_inprocess(self, small_config, tmp_path):
+        solo, _, _, _ = _campaign_bytes(small_config, self.SPECS, 11, tmp_path / "solo")
+        pooled, report, _, _ = _campaign_bytes(
+            small_config, self.SPECS, 11, tmp_path / "pooled", max_workers=2
         )
-        pooled = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 2, base_seed=11, max_workers=2
-        )
-        for a, b in zip(solo, pooled):
-            for name in ("Random", "Proposed"):
-                assert a[name].selected == b[name].selected
-                assert a[name].loss_db == pytest.approx(b[name].loss_db)
+        assert report.executed == 2
+        assert pooled == solo
 
     def test_validation(self, small_config):
         with pytest.raises(ConfigurationError):
-            run_trials_parallel(small_config, self.SPECS, 0.3, 0)
+            plan_effectiveness_sweep(small_config, self.SPECS, (0.3,), 0)
         with pytest.raises(ConfigurationError):
-            run_trials_parallel(small_config, (), 0.3, 1)
+            plan_effectiveness_sweep(small_config, (), (0.3,), 1)
         with pytest.raises(ConfigurationError):
-            run_trials_parallel(
+            plan_effectiveness_sweep(
                 small_config,
                 (SchemeSpec.of("Random"), SchemeSpec.of("Random")),
-                0.3,
+                (0.3,),
                 1,
             )
 
 
-class _AlwaysBrokenFuture:
-    def result(self, timeout=None):
-        raise BrokenProcessPool("worker died before the batch returned")
-
-
-class _AlwaysBrokenPool:
-    """Stand-in executor whose every batch dies mid-flight."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, *args, **kwargs):
-        return _AlwaysBrokenFuture()
+def _launch_that_dies(plan, store, num_workers, **options):
+    """Stand-in launcher whose every worker dies before claiming a shard."""
+    return LaunchReport(
+        plan_digest=plan.digest,
+        num_workers=num_workers,
+        complete=False,
+        exit_codes=(1,) * num_workers,
+        attribution={},
+    )
 
 
 class _CrashInWorker(RandomSearch):
@@ -136,41 +138,42 @@ class _CrashInWorker(RandomSearch):
 
 
 class TestBrokenPoolFallback:
+    """``run_campaign(max_workers=N)`` survives its launched workers dying:
+    the in-process pass that follows the launch runs what they left."""
+
     SPECS = (SchemeSpec.of("Random"),)
 
-    def test_broken_pool_reruns_batches_in_process(self, small_config, monkeypatch):
+    def test_broken_pool_reruns_batches_in_process(
+        self, small_config, monkeypatch, tmp_path
+    ):
+        reference, _, _, _ = _campaign_bytes(
+            small_config, self.SPECS, 13, tmp_path / "solo"
+        )
         monkeypatch.setattr(
-            "repro.sim.parallel.ProcessPoolExecutor", _AlwaysBrokenPool
+            "repro.campaign.scheduler.launch_campaign", _launch_that_dies
         )
-        recorder = MetricsRecorder()
-        with use_recorder(recorder):
-            fallback = run_trials_parallel(
-                small_config, self.SPECS, 0.3, 3, base_seed=13, max_workers=2
-            )
-        assert recorder.metrics.counter("parallel.pool_broken") >= 1.0
-        reference = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 3, base_seed=13, max_workers=1
+        fallback, report, plan, store = _campaign_bytes(
+            small_config, self.SPECS, 13, tmp_path / "fallback", max_workers=2
         )
-        assert len(fallback) == 3
-        for a, b in zip(fallback, reference):
-            assert a["Random"].selected == b["Random"].selected
-            assert a["Random"].loss_db == b["Random"].loss_db
+        assert report.executed == len(plan.shards)
+        assert fallback == reference
+        credited = worker_attribution(store, plan)
+        assert list(credited) == [f"supervisor-{os.getpid()}"]
 
     @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="needs fork so the patched registry reaches pool workers",
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs fork so the patched registry reaches the workers",
     )
-    def test_real_worker_crash_falls_back(self, small_config, monkeypatch):
+    def test_real_worker_crash_falls_back(self, small_config, monkeypatch, tmp_path):
         monkeypatch.setitem(SCHEME_BUILDERS, "Crash", _CrashInWorker)
         monkeypatch.setenv("REPRO_TEST_PARENT_PID", str(os.getpid()))
         specs = (SchemeSpec.of("Crash"),)
-        pooled = run_trials_parallel(
-            small_config, specs, 0.3, 2, base_seed=3, max_workers=2
+        pooled, report, plan, _ = _campaign_bytes(
+            small_config, specs, 3, tmp_path / "pooled", max_workers=2
         )
-        solo = run_trials_parallel(
-            small_config, specs, 0.3, 2, base_seed=3, max_workers=1
-        )
-        assert len(pooled) == 2
-        for a, b in zip(pooled, solo):
-            assert a["Crash"].selected == b["Crash"].selected
-            assert a["Crash"].loss_db == b["Crash"].loss_db
+        # Every worker died holding a lease; the in-process pass took the
+        # dead owners' shards over and ran the whole plan.
+        assert report.executed == len(plan.shards)
+        assert report.takeovers >= 1
+        solo, _, _, _ = _campaign_bytes(small_config, specs, 3, tmp_path / "solo")
+        assert pooled == solo
