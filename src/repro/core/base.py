@@ -9,12 +9,19 @@ the paper's evaluation (Sec. V):
   measured, it will no longer be measured");
 * no scheme exceeds its measurement budget (the Search Rate under
   comparison).
+
+A context can be forked (:meth:`AlignmentContext.fork`) to serve several
+budgets from one run: :meth:`BeamAlignmentAlgorithm.align_limits`
+returns the outcome at every requested measurement limit, and a scheme
+whose run at a smaller limit is a prefix of its run at the largest one
+(Algorithm 1) forks only where the two diverge.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Set
+import copy
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -26,7 +33,7 @@ from repro.measurement.measurer import Measurement, MeasurementEngine
 from repro.obs import get_recorder
 from repro.types import BeamPair
 
-__all__ = ["AlignmentContext", "BeamAlignmentAlgorithm"]
+__all__ = ["AlignmentContext", "BeamAlignmentAlgorithm", "check_limits"]
 
 
 class AlignmentContext:
@@ -105,6 +112,27 @@ class AlignmentContext:
     def num_measurements(self) -> int:
         """Measurements consumed so far."""
         return self._budget.spent
+
+    def fork(self, limit: int) -> "AlignmentContext":
+        """A copy of this run so far, metered against ``limit`` instead.
+
+        The fork keeps the measurements taken so far (and their charge)
+        and shares the codebooks, recorder and stream label; its engine
+        is a :meth:`~repro.measurement.measurer.MeasurementEngine.fork`.
+        From here on the two runs measure independently: the fork draws
+        exactly what this context would draw next.
+        """
+        clone = copy.copy(self)
+        clone._engine = self._engine.fork()
+        clone._budget = MeasurementBudget(
+            self._budget.total_pairs, limit, self._budget.spent
+        )
+        clone._measured = dict(self._measured)
+        clone._measured_by_tx = {
+            tx_index: set(rx_indices) for tx_index, rx_indices in self._measured_by_tx.items()
+        }
+        clone._trace = list(self._trace)
+        return clone
 
     # -- measurement ----------------------------------------------------
 
@@ -247,6 +275,24 @@ class AlignmentContext:
         )
 
 
+def check_limits(context: AlignmentContext, limits: Sequence[int]) -> List[int]:
+    """``limits`` sorted without duplicates; the largest must be the
+    context's budget limit, and the context must be unspent."""
+    ordered = sorted({int(limit) for limit in limits})
+    if not ordered:
+        raise ValidationError("need at least one measurement limit")
+    if ordered[0] < 1:
+        raise ValidationError(f"measurement limits must be >= 1, got {ordered[0]}")
+    if ordered[-1] != context.budget.limit:
+        raise ValidationError(
+            f"largest limit {ordered[-1]} differs from the context's budget"
+            f" limit {context.budget.limit}"
+        )
+    if context.budget.spent:
+        raise ValidationError("align_limits needs an unspent context")
+    return ordered
+
+
 class BeamAlignmentAlgorithm(abc.ABC):
     """A beam-alignment scheme: consumes a context, returns a result."""
 
@@ -260,6 +306,36 @@ class BeamAlignmentAlgorithm(abc.ABC):
         rng: np.random.Generator,
     ) -> AlignmentResult:
         """Run the scheme until its budget is spent; return the outcome."""
+
+    def align_limits(
+        self,
+        context: AlignmentContext,
+        rng: np.random.Generator,
+        limits: Sequence[int],
+    ) -> Dict[int, AlignmentResult]:
+        """The outcome at every measurement limit in ``limits``.
+
+        ``context``'s budget holds ``max(limits)``. The result at each
+        limit equals :meth:`align` on a fresh context with that limit and
+        the same engine and ``rng`` state. The engine's and ``rng``'s
+        generators are copied independently, so they must be distinct
+        objects. Under a capturing flight recorder each limit's
+        checkpoints land in ``branch(limit)``.
+
+        The default runs :meth:`align` once per limit, the smaller ones
+        on forks of ``context`` and copies of ``rng``. Schemes whose
+        run at a smaller limit is a prefix of the run at the largest
+        override this to share that prefix.
+        """
+        ordered = check_limits(context, limits)
+        recorder = get_recorder()
+        results: Dict[int, AlignmentResult] = {}
+        for limit in ordered[:-1]:
+            with recorder.branch(limit):
+                results[limit] = self.align(context.fork(limit), copy.deepcopy(rng))
+        with recorder.branch(ordered[-1]):
+            results[ordered[-1]] = self.align(context, rng)
+        return results
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -18,6 +18,16 @@ Per TX-slot ``i`` (Sec. IV-C, "Integrated Design of Beam Alignment"):
 Already-measured pairs are never re-measured; when the greedy choice is
 excluded the next-best available beam is taken.
 
+**One run serves every budget.** The budget enters the slot loop in two
+places only: the slot size ``min(J, remaining, available)`` and the
+exhaustion check. While ``limit - spent >= J`` both read the same at any
+larger limit, so the run at a smaller limit is, draw for draw, the run
+at the largest one up to the first slot where ``limit - spent < J``.
+:meth:`ProposedAlignment.align_limits` therefore runs Algorithm 1 once,
+at the largest limit, and before each slot forks every smaller limit
+that slot could overrun: the fork (context, RNG, estimator and slot
+state copies) finishes only its own tail.
+
 **Detection floor.** A literal argmax over ``v^H Q_hat v`` degenerates on
 orthogonal (DFT-grid) codebooks: the estimate built from ``J-1``
 orthogonal probes carries no energy along any other codebook beam, so
@@ -34,16 +44,19 @@ quantifies this).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+import copy
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm
+from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm, check_limits
 from repro.core.policies import RandomTxPolicy, TxBeamPolicy
 from repro.core.result import AlignmentResult, SlotRecord
 from repro.estimation.base import CovarianceEstimator
 from repro.estimation.ml_covariance import MlCovarianceEstimator
 from repro.exceptions import ValidationError
+from repro.obs import get_recorder
 from repro.types import BeamPair
 from repro.utils.validation import check_probability
 
@@ -59,6 +72,39 @@ def _available_beams(num_beams: int, excluded: Set[int]) -> np.ndarray:
     mask = np.ones(num_beams, dtype=bool)
     mask[list(excluded)] = False
     return np.flatnonzero(mask)
+
+
+@dataclass
+class _SlotState:
+    """Everything Algorithm 1 carries from one TX-slot to the next."""
+
+    context: AlignmentContext
+    rng: np.random.Generator
+    estimator: CovarianceEstimator
+    per_slot: int
+    gain_floor: float
+    previous_estimate: Optional[np.ndarray] = None
+    used_tx: Set[int] = field(default_factory=set)
+    slot_records: List[SlotRecord] = field(default_factory=list)
+    slot: int = -1
+
+    def fork(self, limit: int) -> "_SlotState":
+        """An independent copy of the run so far, metered against ``limit``.
+
+        The estimator is copied shallowly: estimators replace their
+        warm-start arrays on every solve and never mutate them.
+        """
+        return _SlotState(
+            context=self.context.fork(limit),
+            rng=copy.deepcopy(self.rng),
+            estimator=copy.copy(self.estimator),
+            per_slot=self.per_slot,
+            gain_floor=self.gain_floor,
+            previous_estimate=self.previous_estimate,
+            used_tx=set(self.used_tx),
+            slot_records=list(self.slot_records),
+            slot=self.slot,
+        )
 
 
 class ProposedAlignment(BeamAlignmentAlgorithm):
@@ -119,67 +165,113 @@ class ProposedAlignment(BeamAlignmentAlgorithm):
         context: AlignmentContext,
         rng: np.random.Generator,
     ) -> AlignmentResult:
-        estimator = self._estimator_factory()
+        return self._run_slots(self._start(context, rng), [], {})
+
+    def align_limits(
+        self,
+        context: AlignmentContext,
+        rng: np.random.Generator,
+        limits: Sequence[int],
+    ) -> Dict[int, AlignmentResult]:
+        """One slot loop serves every limit (see the module docstring)."""
+        ordered = check_limits(context, limits)
+        results: Dict[int, AlignmentResult] = {}
+        results[ordered[-1]] = self._run_slots(
+            self._start(context, rng), ordered[:-1], results
+        )
+        return results
+
+    def _start(self, context: AlignmentContext, rng: np.random.Generator) -> _SlotState:
+        return _SlotState(
+            context=context,
+            rng=rng,
+            estimator=self._estimator_factory(),
+            per_slot=min(self._measurements_per_slot, context.rx_codebook.num_beams),
+            gain_floor=self._signal_threshold * context.noise_variance,
+        )
+
+    def _run_slots(
+        self,
+        state: _SlotState,
+        pending: List[int],
+        results: Dict[int, AlignmentResult],
+    ) -> AlignmentResult:
+        """Run slots until ``state``'s budget is spent; return its result.
+
+        ``pending`` holds smaller limits, ascending. Before each slot,
+        every pending limit the next slot could overrun forks off the
+        current state and finishes its own tail into ``results``; up to
+        that slot its run is this one.
+        """
+        budget = state.context.budget
+        while True:
+            while pending and pending[0] - budget.spent < state.per_slot:
+                limit = pending.pop(0)
+                with get_recorder().branch(limit):
+                    results[limit] = self._run_slots(state.fork(limit), [], results)
+            if budget.exhausted or not self._run_slot(state):
+                return state.context.result(self.name, slots=state.slot_records)
+
+    def _run_slot(self, state: _SlotState) -> bool:
+        """One TX-slot of Algorithm 1; False once every pair is measured."""
+        context = state.context
+        rng = state.rng
         rx_codebook = context.rx_codebook
-        per_slot = min(self._measurements_per_slot, rx_codebook.num_beams)
-        gain_floor = self._signal_threshold * context.noise_variance
+        state.slot += 1
+        slot = state.slot
+        tx_index = self._pick_tx_beam(context, slot, state.used_tx, rng)
+        if tx_index is None:
+            return False  # every pair measured; nothing left to learn
+        state.used_tx.add(tx_index)
+        measured_rx = context.measured_rx_beams(tx_index)
+        available = rx_codebook.num_beams - len(measured_rx)
+        size = min(state.per_slot, context.budget.remaining, available)
+        if size <= 0:
+            return True
 
-        previous_estimate: Optional[np.ndarray] = None
-        used_tx: Set[int] = set()
-        slot_records: List[SlotRecord] = []
+        probe_count = size - 1
+        probe_beams = self._select_probe_beams(
+            rx_codebook,
+            state.previous_estimate,
+            probe_count,
+            measured_rx,
+            state.gain_floor,
+            rng,
+        )
+        measurements = context.measure_many(
+            [BeamPair(tx_index, rx_index) for rx_index in probe_beams], slot=slot
+        )
+        powers = [measurement.power for measurement in measurements]
 
-        slot = -1
-        while not context.budget.exhausted:
-            slot += 1
-            tx_index = self._pick_tx_beam(context, slot, used_tx, rng)
-            if tx_index is None:
-                break  # every pair measured; nothing left to learn
-            used_tx.add(tx_index)
-            measured_rx = context.measured_rx_beams(tx_index)
-            available = rx_codebook.num_beams - len(measured_rx)
-            size = min(per_slot, context.budget.remaining, available)
-            if size <= 0:
-                continue
-
-            probe_count = size - 1
-            probe_beams = self._select_probe_beams(
-                rx_codebook, previous_estimate, probe_count, measured_rx, gain_floor, rng
+        decided_beam: Optional[int] = None
+        estimate = state.previous_estimate
+        estimator_converged: Optional[bool] = None
+        if probe_beams:
+            probes = rx_codebook.vectors[:, probe_beams]
+            estimate = state.estimator.estimate(
+                probes, np.asarray(powers), context.noise_variance
             )
-            measurements = context.measure_many(
-                [BeamPair(tx_index, rx_index) for rx_index in probe_beams], slot=slot
+            last_result = getattr(state.estimator, "last_result", None)
+            if last_result is not None:
+                estimator_converged = bool(last_result.converged)
+        if size > len(probe_beams):
+            exclude = measured_rx | set(probe_beams)
+            decided_beam = self._decide_beam(
+                rx_codebook, estimate, exclude, state.gain_floor, rng
             )
-            powers = [measurement.power for measurement in measurements]
+            context.measure(BeamPair(tx_index, decided_beam), slot=slot)
+        state.previous_estimate = estimate
 
-            decided_beam: Optional[int] = None
-            estimate = previous_estimate
-            estimator_converged: Optional[bool] = None
-            if probe_beams:
-                probes = rx_codebook.vectors[:, probe_beams]
-                estimate = estimator.estimate(
-                    probes, np.asarray(powers), context.noise_variance
-                )
-                last_result = getattr(estimator, "last_result", None)
-                if last_result is not None:
-                    estimator_converged = bool(last_result.converged)
-            if size > len(probe_beams):
-                exclude = measured_rx | set(probe_beams)
-                decided_beam = self._decide_beam(
-                    rx_codebook, estimate, exclude, gain_floor, rng
-                )
-                context.measure(BeamPair(tx_index, decided_beam), slot=slot)
-            previous_estimate = estimate
-
-            slot_records.append(
-                SlotRecord(
-                    slot=slot,
-                    tx_beam=tx_index,
-                    probe_rx_beams=tuple(probe_beams),
-                    decided_rx_beam=decided_beam,
-                    estimator_converged=estimator_converged,
-                )
+        state.slot_records.append(
+            SlotRecord(
+                slot=slot,
+                tx_beam=tx_index,
+                probe_rx_beams=tuple(probe_beams),
+                decided_rx_beam=decided_beam,
+                estimator_converged=estimator_converged,
             )
-
-        return context.result(self.name, slots=slot_records)
+        )
+        return True
 
     # ------------------------------------------------------------------
 

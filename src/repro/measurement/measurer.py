@@ -14,6 +14,7 @@ construction.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -151,6 +152,17 @@ class MeasurementEngine:
     def noise_variance(self) -> float:
         """Post-matched-filter noise variance ``1 / gamma`` (Eq. 14–15)."""
         return 1.0 / self._channel.snr
+
+    def fork(self) -> "MeasurementEngine":
+        """An independent engine continuing from this one's exact state.
+
+        Same channel and settings, same counters, and a copy of the
+        generator: the fork's next draws are the ones this engine would
+        make next, and neither engine's draws move the other's.
+        """
+        clone = copy.copy(self)
+        clone._rng = copy.deepcopy(self._rng)
+        return clone
 
     def measure_vectors(
         self,

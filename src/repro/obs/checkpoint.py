@@ -32,6 +32,14 @@ Three opt-in extras:
   :meth:`absorb` move recorded events across process boundaries so the
   parallel runner and campaign scheduler reproduce the exact sequence a
   serial run would have recorded.
+
+Work shared by several (rate, trial) scopes — one channel draw and one
+Algorithm 1 prefix serve every search rate of a sweep trial — is
+recorded through :meth:`CheckpointRecorder.capture`: checkpoints are
+collected undigested (optionally split into per-limit
+:meth:`~CheckpointRecorder.branch` lists), then
+:meth:`~CheckpointRecorder.replay` records them under each rate's scope,
+so every scope's events equal those of a one-rate run.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "PERTURB_ENV",
     "ArrayInfo",
+    "Capture",
     "CheckpointEvent",
     "CheckpointSpec",
     "CheckpointRecorder",
@@ -366,6 +375,30 @@ class CheckpointSpec:
         )
 
 
+#: One checkpoint collected by :meth:`CheckpointRecorder.capture`:
+#: ``(stage, arrays, stream, scheme, attrs)``.
+CapturedCheckpoint = Tuple[str, Any, Optional[str], Optional[str], Dict[str, Any]]
+
+
+class Capture:
+    """Checkpoints collected undigested by :meth:`CheckpointRecorder.capture`.
+
+    ``events`` holds what was recorded outside any branch; ``branches``
+    maps each :meth:`CheckpointRecorder.branch` key to its own list,
+    which starts as a copy of the list that was active when it opened.
+    """
+
+    __slots__ = ("events", "branches")
+
+    def __init__(self) -> None:
+        self.events: List[CapturedCheckpoint] = []
+        self.branches: Dict[Any, List[CapturedCheckpoint]] = {}
+
+    def branch_events(self, key: Any) -> List[CapturedCheckpoint]:
+        """Branch ``key``'s events, or the unbranched ones if it never opened."""
+        return self.branches.get(key, self.events)
+
+
 class _TrialScope:
     """Context manager flipping the recorder's (trial, rate) scope."""
 
@@ -427,6 +460,8 @@ class CheckpointRecorder(Recorder):
         self._rate: Optional[float] = None
         self._scheme: Optional[str] = None
         self._seq: Dict[Tuple[str, int], int] = {}
+        self._capture: Optional[Capture] = None
+        self._captured: Optional[List[CapturedCheckpoint]] = None
         self._sink = _find_checkpoint_sink(self.inner)
 
     # -- forwarded recorder surface -------------------------------------
@@ -466,6 +501,62 @@ class CheckpointRecorder(Recorder):
         finally:
             self._scheme = saved
 
+    @contextmanager
+    def capture(self) -> Iterator[Capture]:
+        """Collect checkpoints undigested until the block exits.
+
+        Each :meth:`checkpoint` call inside the block appends
+        ``(stage, arrays, stream, scheme, attrs)`` to the yielded
+        :class:`Capture` instead of recording an event; :meth:`replay`
+        records them later under whatever scope is current then. The
+        arrays are held by reference, so callers capture only arrays that
+        are never mutated afterwards (every pipeline stage's are fresh or
+        frozen).
+        """
+        saved = (self._capture, self._captured)
+        capture = Capture()
+        self._capture, self._captured = capture, capture.events
+        try:
+            yield capture
+        finally:
+            self._capture, self._captured = saved
+
+    @contextmanager
+    def branch(self, key: Any) -> Iterator[None]:
+        """Inside an active capture, collect into branch ``key``.
+
+        The branch starts as a copy of the list being collected into now
+        — the prefix a forked computation shares with its parent — and
+        lands in the capture's ``branches[key]``. Outside a capture this
+        does nothing.
+        """
+        if self._capture is None or self._captured is None:
+            yield
+            return
+        saved = self._captured
+        events = list(saved)
+        self._capture.branches[key] = events
+        self._captured = events
+        try:
+            yield
+        finally:
+            self._captured = saved
+
+    def replay(self, captured: Iterable[CapturedCheckpoint]) -> None:
+        """Record captured checkpoints, in order, under the current scope.
+
+        Each event keeps the scheme it was captured under; sequence
+        numbers, spills and perturbation apply exactly as if the stages
+        had run now.
+        """
+        saved = self._scheme
+        try:
+            for stage, arrays, stream, scheme, attrs in captured:
+                self._scheme = scheme
+                self.checkpoint(stage, arrays, stream, **attrs)
+        finally:
+            self._scheme = saved
+
     # -- recording --------------------------------------------------------
 
     def checkpoint(
@@ -474,8 +565,15 @@ class CheckpointRecorder(Recorder):
         arrays: Union[np.ndarray, Mapping[str, np.ndarray]],
         stream: Optional[str] = None,
         **attrs: Any,
-    ) -> CheckpointEvent:
-        """Digest one stage's arrays under the current (trial, rate) scope."""
+    ) -> Optional[CheckpointEvent]:
+        """Digest one stage's arrays under the current (trial, rate) scope.
+
+        Inside :meth:`capture` the stage is collected instead and nothing
+        is returned.
+        """
+        if self._captured is not None:
+            self._captured.append((stage, arrays, stream, self._scheme, attrs))
+            return None
         trial = self._trial if self._trial is not None else -1
         rate = self._rate
         named = _as_arrays(arrays)

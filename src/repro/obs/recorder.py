@@ -101,8 +101,8 @@ class _NullScope:
 
     __slots__ = ()
 
-    def __enter__(self) -> "_NullScope":
-        return self
+    def __enter__(self) -> None:
+        return None
 
     def __exit__(self, *exc_info: Any) -> None:
         return None
@@ -151,6 +151,20 @@ class Recorder:
     def scheme_scope(self, name: str):
         """Attribute checkpoints to one scheme; no-op by default."""
         return _NULL_SCOPE
+
+    def capture(self):
+        """Collect checkpoints undigested instead of recording them; no-op
+        by default (the ``with`` target is then ``None``)."""
+        return _NULL_SCOPE
+
+    def branch(self, key: Any):
+        """Fork the active capture into branch ``key``; no-op by default."""
+        return _NULL_SCOPE
+
+    def replay(self, captured: Any) -> None:
+        """Record captured checkpoints under the current scope; no-op by
+        default."""
+        return None
 
     def close(self) -> None:
         return None

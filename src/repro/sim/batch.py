@@ -14,9 +14,16 @@ and every stacked kernel is per-slice bit-identical to its serial
 counterpart — seeded outcomes are bit-identical to ``run_trials`` for
 any batch size (pinned by ``tests/test_batch_engine.py``).
 
+Rates: :func:`run_trial_block_rates` scores each trial of a block at
+several search rates, drawing its channel once and sharing each scheme's
+run across rates (see :mod:`repro.sim.sweep`);
+``effectiveness_sweep(..., batch_trials=B)`` uses it, so batching and
+rate sharing compose. :func:`run_trial_block` is its one-rate case.
+
 Composition: ``run_campaign(..., max_workers=N, batch_trials=B)`` runs N
 lease workers that each execute their shards' trials through
-:func:`run_trial_block` — processes x in-process batches.
+:func:`run_trial_block` — processes x in-process batches. A shard holds
+one rate.
 """
 
 from __future__ import annotations
@@ -28,16 +35,16 @@ import numpy as np
 from repro.channel.batch import mean_snr_matrices
 from repro.exceptions import ConfigurationError
 from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
-from repro.sim.runner import (
-    AlgorithmFactory,
-    TrialOutcome,
-    _checkpoint_trial_setup,
-    _execute_schemes,
-)
+from repro.sim.runner import AlgorithmFactory, TrialOutcome, _execute_schemes
 from repro.sim.scenario import Scenario
 from repro.utils.rng import spawn, trial_generator
 
-__all__ = ["DEFAULT_BATCH_TRIALS", "run_trial_block", "run_trials_batched"]
+__all__ = [
+    "DEFAULT_BATCH_TRIALS",
+    "run_trial_block",
+    "run_trial_block_rates",
+    "run_trials_batched",
+]
 
 logger = get_logger("sim.batch")
 
@@ -65,6 +72,27 @@ def run_trial_block(
     the per-trial loop, so the emitted event sequence is identical to the
     serial runner's.
     """
+    return [
+        per_rate[0]
+        for per_rate in run_trial_block_rates(
+            scenario, schemes, [search_rate], rngs, trial_indices
+        )
+    ]
+
+
+def run_trial_block_rates(
+    scenario: Scenario,
+    schemes: Mapping[str, AlgorithmFactory],
+    search_rates: Sequence[float],
+    rngs: Sequence[np.random.Generator],
+    trial_indices: Optional[Sequence[int]] = None,
+) -> List[List[Dict[str, TrialOutcome]]]:
+    """:func:`run_trial_block` scoring every trial at every rate.
+
+    Returns, per trial, one outcome mapping per entry of
+    ``search_rates`` — bit-identical, checkpoints included, to
+    :func:`repro.sim.runner.run_trial_rates` with the same generators.
+    """
     if not schemes:
         raise ConfigurationError("run_trial_block needs at least one scheme")
     rngs = list(rngs)
@@ -87,24 +115,22 @@ def run_trial_block(
     if recorder.enabled:
         recorder.increment("batch.blocks")
         recorder.increment("batch.trials", len(rngs))
-    outcomes: List[Dict[str, TrialOutcome]] = []
+    outcomes: List[List[Dict[str, TrialOutcome]]] = []
     for index, streams, channel, snr_matrix in zip(indices, spawned, channels, snr_matrices):
-        with recorder.trial_scope(index, search_rate):
-            with recorder.span("trial", search_rate=search_rate) as trial_span:
-                if recorder.checkpoints_enabled:
-                    _checkpoint_trial_setup(recorder, channel, snr_matrix)
-                trial_outcomes = _execute_schemes(
-                    scenario,
-                    shared,
-                    channel,
-                    snr_matrix,
-                    schemes,
-                    streams[1:],
-                    search_rate,
-                    recorder,
-                )
-                trial_span.annotate(schemes=list(trial_outcomes))
-        outcomes.append(trial_outcomes)
+        with recorder.span("trial", search_rates=list(search_rates)) as trial_span:
+            per_rate = _execute_schemes(
+                scenario,
+                shared,
+                channel,
+                snr_matrix,
+                schemes,
+                streams[1:],
+                search_rates,
+                index,
+                recorder,
+            )
+            trial_span.annotate(schemes=list(schemes))
+        outcomes.append(per_rate)
     return outcomes
 
 

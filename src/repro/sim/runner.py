@@ -12,7 +12,7 @@ Fairness rules baked in:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,13 +23,21 @@ from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm
 from repro.core.proposed import ProposedAlignment
 from repro.core.result import AlignmentResult
 from repro.exceptions import ConfigurationError
+from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import MeasurementEngine
 from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
 from repro.sim.metrics import PairEvaluation, evaluate_pair
 from repro.sim.scenario import Scenario
 from repro.utils.rng import labeled_spawn, trial_generator
 
-__all__ = ["AlgorithmFactory", "TrialOutcome", "standard_schemes", "run_trial", "run_trials"]
+__all__ = [
+    "AlgorithmFactory",
+    "TrialOutcome",
+    "standard_schemes",
+    "run_trial",
+    "run_trial_rates",
+    "run_trials",
+]
 
 logger = get_logger("sim.runner")
 
@@ -149,57 +157,89 @@ def _execute_schemes(
     snr_matrix: np.ndarray,
     schemes: Mapping[str, AlgorithmFactory],
     scheme_rngs: List[np.random.Generator],
-    search_rate: float,
+    search_rates: Sequence[float],
+    trial_index: Optional[int],
     recorder,
-) -> Dict[str, TrialOutcome]:
-    """Run every scheme against one channel realization (trial body).
+) -> List[Dict[str, TrialOutcome]]:
+    """Run every scheme against one channel realization at every rate.
 
-    Shared by the serial :func:`run_trial` and the batched engine in
-    :mod:`repro.sim.batch` — the scheme loop is identical in both, only
-    the channel/ground-truth preparation differs.
+    Returns one outcome mapping per entry of ``search_rates``. Each
+    scheme aligns once, through
+    :meth:`~repro.core.base.BeamAlignmentAlgorithm.align_limits`, under
+    a budget holding the largest rate's limit, so work shared between
+    rates runs once. The trial's checkpoints are captured and replayed
+    under each rate's ``trial_scope``, so every (rate, trial) records
+    exactly the events of a one-rate run. Shared by the serial
+    :func:`run_trial` and the batched engine in :mod:`repro.sim.batch`;
+    only the channel/ground-truth preparation differs.
     """
-    outcomes: Dict[str, TrialOutcome] = {}
+    limits = [shared.make_budget(rate).limit for rate in search_rates]
+    checkpoints = recorder.checkpoints_enabled
+    if checkpoints:
+        with recorder.capture() as setup:
+            _checkpoint_trial_setup(recorder, channel, snr_matrix)
+    by_scheme: Dict[str, List[TrialOutcome]] = {}
+    captures = {}
     for index, (name, factory) in enumerate(schemes.items()):
-        engine_rng = scheme_rngs[2 * index]
-        algo_rng = scheme_rngs[2 * index + 1]
         engine = MeasurementEngine(
-            channel, engine_rng, fading_blocks=scenario.config.fading_blocks
+            channel, scheme_rngs[2 * index], fading_blocks=scenario.config.fading_blocks
         )
-        budget = shared.make_budget(search_rate)
         context = AlignmentContext(
             shared.tx_codebook,
             shared.rx_codebook,
             engine,
-            budget,
+            MeasurementBudget(shared.total_pairs, max(limits)),
             stream=f"{name}.measurement",
         )
         algorithm = factory(channel)
         with recorder.scheme_scope(name), recorder.span(f"scheme.{name}") as scheme_span:
-            result = algorithm.align(context, algo_rng)
-            outcome = TrialOutcome(
-                algorithm=name,
-                result=result,
-                evaluation=evaluate_pair(snr_matrix, result.selected),
-            )
+            with recorder.capture() as captures[name]:
+                results = algorithm.align_limits(context, scheme_rngs[2 * index + 1], limits)
+            by_scheme[name] = [
+                TrialOutcome(
+                    algorithm=name,
+                    result=results[limit],
+                    evaluation=evaluate_pair(snr_matrix, results[limit].selected),
+                )
+                for limit in limits
+            ]
             scheme_span.annotate(
-                loss_db=outcome.loss_db,
-                measurements=result.measurements_used,
-                search_rate=result.search_rate,
+                search_rates=list(search_rates),
+                loss_db=[outcome.loss_db for outcome in by_scheme[name]],
+                measurements=[outcome.result.measurements_used for outcome in by_scheme[name]],
             )
-            if recorder.checkpoints_enabled:
-                _checkpoint_beam_selection(recorder, name, result, snr_matrix)
+
+    per_rate = [
+        {name: by_scheme[name][rate_index] for name in schemes}
+        for rate_index in range(len(limits))
+    ]
+    for rate, limit, outcomes in zip(search_rates, limits, per_rate):
         if recorder.enabled:
-            recorder.increment(f"scheme.{name}.measurements", result.measurements_used)
-            recorder.increment(f"scheme.{name}.trials")
-        outcomes[name] = outcome
-    if recorder.checkpoints_enabled:
-        recorder.checkpoint(
-            "trial.metrics",
-            {"loss_db": np.array([outcomes[name].loss_db for name in outcomes])},
-            schemes=list(outcomes),
-            losses={name: float(outcomes[name].loss_db) for name in outcomes},
-        )
-    return outcomes
+            for name, outcome in outcomes.items():
+                recorder.increment(
+                    f"scheme.{name}.measurements", outcome.result.measurements_used
+                )
+                recorder.increment(f"scheme.{name}.trials")
+        if checkpoints:
+            with recorder.trial_scope(trial_index, rate):
+                _replay_trial(recorder, setup, captures, outcomes, limit, snr_matrix)
+    return per_rate
+
+
+def _replay_trial(recorder, setup, captures, outcomes, limit, snr_matrix) -> None:
+    """One (rate, trial)'s checkpoints, in the order a one-rate run
+    records them: setup, each scheme's run and selection, then metrics."""
+    recorder.replay(setup.events)
+    for name, outcome in outcomes.items():
+        recorder.replay(captures[name].branch_events(limit))
+        with recorder.scheme_scope(name):
+            _checkpoint_beam_selection(recorder, name, outcome.result, snr_matrix)
+    recorder.checkpoint(
+        "trial.metrics",
+        {"loss_db": np.array([outcomes[name].loss_db for name in outcomes])},
+        schemes=list(outcomes),
+        losses={name: float(outcomes[name].loss_db) for name in outcomes},
+    )
 
 
 def run_trial(
@@ -215,32 +255,47 @@ def run_trial(
     the computation); callers that know the trial's global index pass it
     so digests from different engines compare at the same key.
     """
+    return run_trial_rates(scenario, schemes, [search_rate], rng, trial_index)[0]
+
+
+def run_trial_rates(
+    scenario: Scenario,
+    schemes: Mapping[str, AlgorithmFactory],
+    search_rates: Sequence[float],
+    rng: np.random.Generator,
+    trial_index: Optional[int] = None,
+) -> List[Dict[str, TrialOutcome]]:
+    """One channel draw scored at every rate; one outcome mapping per rate.
+
+    Each mapping is bit-identical to :func:`run_trial` at that rate with
+    the same ``rng`` state, checkpoints included: common random numbers
+    let every rate share the draw, and each scheme's work shared between
+    rates runs once.
+    """
     if not schemes:
         raise ConfigurationError("run_trial needs at least one scheme")
     recorder = get_recorder()
     shared = scenario.context()
-    with recorder.trial_scope(trial_index, search_rate):
-        with recorder.span("trial", search_rate=search_rate) as trial_span:
-            streams = labeled_spawn(rng, _stream_labels(schemes))
-            scheme_rngs = list(streams.values())[1:]
-            channel = scenario.sample_channel(streams["channel"])
-            # This both evaluates the trial's ground truth and warms the
-            # channel's codebook-coupling table that measure_pair reuses.
-            snr_matrix = channel.mean_snr_matrix(shared.tx_codebook, shared.rx_codebook)
-            if recorder.checkpoints_enabled:
-                _checkpoint_trial_setup(recorder, channel, snr_matrix)
-            outcomes = _execute_schemes(
-                scenario,
-                shared,
-                channel,
-                snr_matrix,
-                schemes,
-                scheme_rngs,
-                search_rate,
-                recorder,
-            )
-            trial_span.annotate(schemes=list(outcomes))
-    return outcomes
+    with recorder.span("trial", search_rates=list(search_rates)) as trial_span:
+        streams = labeled_spawn(rng, _stream_labels(schemes))
+        scheme_rngs = list(streams.values())[1:]
+        channel = scenario.sample_channel(streams["channel"])
+        # This both evaluates the trial's ground truth and warms the
+        # channel's codebook-coupling table that measure_pair reuses.
+        snr_matrix = channel.mean_snr_matrix(shared.tx_codebook, shared.rx_codebook)
+        per_rate = _execute_schemes(
+            scenario,
+            shared,
+            channel,
+            snr_matrix,
+            schemes,
+            scheme_rngs,
+            search_rates,
+            trial_index,
+            recorder,
+        )
+        trial_span.annotate(schemes=list(schemes))
+    return per_rate
 
 
 def run_trials(

@@ -11,9 +11,16 @@
   the full sweep cannot meet report 1.0 (exhaustive search always meets
   any non-negative target).
 
-Common random numbers: the same trial index draws the same channel at
-every search rate, so per-scheme curves are smooth in the rate dimension
-and scheme differences are paired comparisons.
+Common random numbers: the same trial index draws the same channel and
+the same per-scheme RNG streams at every search rate, so per-scheme
+curves are smooth in the rate dimension and scheme differences are
+paired comparisons. The sweep exploits this by running trial-major: each
+trial draws its channel once and each scheme aligns once through
+:meth:`~repro.core.base.BeamAlignmentAlgorithm.align_limits`, which
+hands back the outcome at every rate's measurement limit (Algorithm 1
+runs its shared prefix once and forks only each smaller budget's tail).
+Every (rate, trial) outcome and flight-recorder event is bit-identical
+to a one-rate run of that trial.
 """
 
 from __future__ import annotations
@@ -26,8 +33,9 @@ import numpy as np
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
 from repro.sim.aggregate import SeriesStats, summarize
-from repro.sim.runner import AlgorithmFactory, run_trials
+from repro.sim.runner import AlgorithmFactory, TrialOutcome, run_trial_rates
 from repro.sim.scenario import Scenario
+from repro.utils.rng import trial_generator
 
 logger = get_logger("sim.sweep")
 
@@ -93,9 +101,11 @@ def effectiveness_sweep(
     ``len(search_rates) * num_trials`` grid; it observes the sweep without
     touching its RNG streams, so results are identical with or without it.
 
-    ``batch_trials`` routes each rate's trials through the batched engine
-    (:func:`repro.sim.batch.run_trials_batched`) in blocks of that size;
-    seeded results are bit-identical to the serial path.
+    Trials run one after another, each at every rate (see the module
+    docstring). ``batch_trials`` draws the channels of that many trials
+    at once through the batched engine
+    (:func:`repro.sim.batch.run_trial_block_rates`); seeded results are
+    bit-identical to the serial path.
 
     ``store`` (a :class:`~repro.campaign.ShardStore` or a directory path)
     routes the sweep through the checkpointed campaign scheduler: the
@@ -134,42 +144,44 @@ def effectiveness_sweep(
         num_trials,
         len(schemes),
     )
-    losses: Dict[str, List[List[float]]] = {name: [] for name in schemes}
+    losses: Dict[str, List[List[float]]] = {name: [[] for _ in rates] for name in schemes}
+
+    def collect(per_rate: List[Dict[str, TrialOutcome]]) -> None:
+        for rate_index, outcomes in enumerate(per_rate):
+            for name in schemes:
+                losses[name][rate_index].append(outcomes[name].loss_db)
+        reporter.update(len(rates))
+
     with recorder.span(
         "effectiveness_sweep", rates=rates, num_trials=num_trials, schemes=list(schemes)
     ):
-        for rate_index, rate in enumerate(rates):
-            inner: Optional[ProgressCallback] = None
-            if progress is not None:
-                base = rate_index * num_trials
+        if batch_trials is None:
+            for trial in range(num_trials):
+                with recorder.span("sweep.trial", trials=[trial], search_rates=rates):
+                    collect(
+                        run_trial_rates(
+                            scenario,
+                            schemes,
+                            rates,
+                            trial_generator(base_seed, trial),
+                            trial_index=trial,
+                        )
+                    )
+        else:
+            from repro.sim.batch import run_trial_block_rates
 
-                def inner(event, base=base):
-                    reporter.report(base + event.done)
-
-            with recorder.span("sweep.rate", search_rate=rate):
-                if batch_trials is not None:
-                    from repro.sim.batch import run_trials_batched
-
-                    trials = run_trials_batched(
+            for start in range(0, num_trials, batch_trials):
+                trials = list(range(start, min(start + batch_trials, num_trials)))
+                with recorder.span("sweep.trial", trials=trials, search_rates=rates):
+                    block = run_trial_block_rates(
                         scenario,
                         schemes,
-                        rate,
-                        num_trials,
-                        base_seed=base_seed,
-                        batch_size=batch_trials,
-                        progress=inner,
+                        rates,
+                        [trial_generator(base_seed, trial) for trial in trials],
+                        trial_indices=trials,
                     )
-                else:
-                    trials = run_trials(
-                        scenario,
-                        schemes,
-                        rate,
-                        num_trials,
-                        base_seed=base_seed,
-                        progress=inner,
-                    )
-            for name in schemes:
-                losses[name].append([trial[name].loss_db for trial in trials])
+                for per_rate in block:
+                    collect(per_rate)
     return EffectivenessSweep(search_rates=rates, losses=losses)
 
 

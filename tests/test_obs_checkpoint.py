@@ -39,6 +39,7 @@ from repro.obs.checkpoint import CheckpointEvent, PerturbationSpec
 from repro.sim.batch import run_trials_batched
 from repro.sim.parallel import SchemeSpec
 from repro.sim.runner import run_trial, run_trials
+from repro.sim.sweep import effectiveness_sweep
 from repro.utils.rng import labeled_spawn, spawn, trial_generator
 
 SPECS = (SchemeSpec.of("Random"), SchemeSpec.of("Proposed", measurements_per_slot=4))
@@ -97,6 +98,28 @@ class TestEngineInvariance:
                     batch_size=batch_size,
                 )
         assert _signature(recorder.events) == serial_signature
+
+    @pytest.mark.parametrize("batch_trials", [None, 2])
+    def test_sweep_matches_serial(self, small_scenario, serial_signature, batch_trials):
+        # The sweep runs trial-major and shares each trial's work across
+        # rates, so it emits the same events in another order: compare by
+        # key.
+        recorder = CheckpointRecorder()
+        with use_recorder(recorder):
+            effectiveness_sweep(
+                small_scenario,
+                _schemes(),
+                RATES,
+                TRIALS,
+                base_seed=SEED,
+                batch_trials=batch_trials,
+            )
+        by_key = {key: (stage, digest) for key, stage, digest in serial_signature}
+        assert len(by_key) == len(serial_signature)
+        assert {
+            key: (stage, digest) for key, stage, digest in _signature(recorder.events)
+        } == by_key
+        assert len(recorder.events) == len(serial_signature)
 
     @pytest.mark.parametrize("max_workers", [1, 2])
     def test_parallel_matches_serial(

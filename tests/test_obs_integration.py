@@ -133,8 +133,12 @@ class TestSweepInstrumentation:
                 1,
                 base_seed=0,
             )
-        span_names = [r["name"] for r in read_trace(path) if r["type"] == "span"]
-        assert span_names.count("sweep.rate") == 2
+        spans = [r for r in read_trace(path) if r["type"] == "span"]
+        span_names = [r["name"] for r in spans]
+        # Trial-major: one sweep.trial span covers the trial at both rates.
+        assert span_names.count("sweep.trial") == 1
+        sweep_trial = next(r for r in spans if r["name"] == "sweep.trial")
+        assert sweep_trial["attrs"]["search_rates"] == [0.2, 0.3]
         assert "effectiveness_sweep" in span_names
 
 
